@@ -1,8 +1,9 @@
 """Command-line front end: solve, verify, bench.
 
-Exit codes: 0 = yes (or verified true / bench completed), 1 = no (or verified
-false), 2 = usage, format, or capacity errors.  ``--json`` swaps the human
-summary for a machine-readable run report with stable field names.
+Exit codes: 0 = yes (or verified true / every bench row completed), 1 = no (or
+verified false), 2 = usage, format or capacity errors, a failed bench row, or
+any other failure.  ``--json`` swaps the human summary for a machine-readable
+run report with stable field names.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import json
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+import traceback
+from dataclasses import asdict, dataclass
 
 from .errors import CapacityError, GraphFormatError, MespError
 from .generators import (
@@ -25,19 +27,18 @@ from .generators import (
     gen_subdivided_core,
     gen_substitution,
 )
-from .graph import Graph, all_pairs_distances, is_shortest_path, load_graph, path_eccentricity
-from .modulators import modular_decomposition, modular_width
-from .solvers import (
-    MespQuery,
-    minimize_k,
+from .graph import Graph, all_pairs_distances, eccentricity_of_set, is_shortest_path, load_graph
+from .modulators import modular_width
+from .solvers import SOLVER_NAMES, Instance, MespQuery, decide, minimize_k, solve_bruteforce
+
+# not called here: kept importable because the benchmark's tracer wraps them
+from .modulators import modular_decomposition  # noqa: F401
+from .solvers import (  # noqa: F401
     solve_auto,
-    solve_bruteforce,
     solve_distance_to_cluster,
     solve_distance_to_disjoint_paths,
     solve_modular_width,
 )
-
-SOLVER_NAMES = ("auto", "brute", "mw", "cluster", "paths")
 
 
 @dataclass
@@ -70,43 +71,28 @@ def graph_digest(graph: Graph) -> str:
     return hashlib.sha256(blob.getvalue().encode()).hexdigest()[:16]
 
 
-def _dispatch(name: str, query: MespQuery, args) -> "MespAnswer":
-    if name == "brute":
-        return solve_bruteforce(query)
-    if name == "mw":
-        tree = modular_decomposition(query.graph)
-        width = modular_width(tree)
-        if args.cap_mw is not None and width > args.cap_mw:
-            raise CapacityError(f"modular width {width} exceeds cap {args.cap_mw}")
-        return solve_modular_width(query, tree)
-    if name == "cluster":
-        return solve_distance_to_cluster(query)
-    if name == "paths":
-        return solve_distance_to_disjoint_paths(query)
-    return solve_auto(query, cap_p=args.cap_p, cap_c=args.cap_c)
-
-
 def cmd_solve(args) -> int:
     t_all = time.perf_counter()
     graph = load_graph(args.file)
     t_parse = time.perf_counter() - t_all
     t0 = time.perf_counter()
-    dist = all_pairs_distances(graph)
+    inst = Instance(graph)
     t_dist = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    if args.solver == "mw" and args.cap_mw is not None:
+        width = modular_width(inst.decomposition)
+        if width > args.cap_mw:
+            raise CapacityError(f"modular width {width} exceeds cap {args.cap_mw}")
     if args.minimize:
-        k_star, witness = minimize_k(
-            graph, solver=args.solver, dist=dist, cap_p=args.cap_p, cap_c=args.cap_c
-        )
+        k_star, witness = minimize_k(inst, args.solver)
         decision = True
         k_queried = None
         counters: dict = {}
         solver_used = args.solver
         params: dict = {}
     else:
-        query = MespQuery(graph, dist, args.k)
-        answer = _dispatch(args.solver, query, args)
+        answer = decide(inst, args.k, args.solver)
         decision = answer.decision
         witness = answer.witness
         k_star = None
@@ -158,7 +144,7 @@ def cmd_verify(args) -> int:
             raise GraphFormatError(f"witness vertex {v} out of range")
     dist = all_pairs_distances(graph)
     ok = is_shortest_path(graph, dist, vertices)
-    ecc = path_eccentricity(dist, vertices) if ok else None
+    ecc = eccentricity_of_set(dist, vertices) if ok else None
     good = bool(ok and ecc <= args.k)
     if args.json:
         print(json.dumps({
@@ -180,62 +166,55 @@ def _bench_instances(args):
         parts = [int(tok) for tok in spec.split(":")]
         if args.family == "cluster-plus-p":
             n, p = parts
-            graph, mod = gen_cluster_plus_p(n, p, rng)
-            yield spec, graph, "cluster", {"p": p}, mod
+            graph, _ = gen_cluster_plus_p(n, p, rng)
+            yield spec, graph, "cluster", {"p": p}
         elif args.family == "subdivided-core":
             core_n, core_m, n = parts
             graph, info = gen_subdivided_core(core_n, core_m, n, rng)
-            yield spec, graph, "brute", info, None
+            yield spec, graph, "brute", info
         elif args.family == "substitution":
             n, cap = parts
             graph, bound = gen_substitution(n, cap, rng)
-            yield spec, graph, "mw", {"mw_bound": bound}, None
+            yield spec, graph, "mw", {"mw_bound": bound}
         else:
             n, m = parts
             graph = gen_random_connected(n, m, rng)
-            yield spec, graph, "auto", {}, None
+            yield spec, graph, "auto", {}
+
+
+def _bench_solve(graph: Graph, solver_name: str) -> dict:
+    """Minimize k on one bench graph and cross-check k* by brute force."""
+    inst = Instance(graph)
+    t0 = time.perf_counter()
+    k_star, witness = minimize_k(inst, solver_name)
+    t_solve = time.perf_counter() - t0
+    # oracle cross-check at k* (and k*-1) under a 10x time budget
+    budget = max(0.5, 10.0 * t_solve)
+    agree: bool | str
+    t0 = time.perf_counter()
+    try:
+        agree = solve_bruteforce(MespQuery(graph, inst.dist, k_star), time_limit=budget).decision
+        if k_star > 0 and agree:
+            below = solve_bruteforce(MespQuery(graph, inst.dist, k_star - 1), time_limit=budget)
+            agree = not below.decision
+    except CapacityError:
+        agree = "timeout"
+    t_brute = time.perf_counter() - t0
+    return {
+        "k_star": k_star,
+        "witness_len": len(witness.vertices),
+        "solve_seconds": round(t_solve, 6),
+        "oracle_seconds": round(t_brute, 6),
+        "oracle_agrees": agree,
+    }
 
 
 def cmd_bench(args) -> int:
+    """One row per size spec; a row that fails records its ``error`` and the
+    rest still run, but the exit code is then 2."""
     rows = []
-    for spec, graph, solver_name, params, modulator in _bench_instances(args):
-        dist = all_pairs_distances(graph)
-        t0 = time.perf_counter()
-        lo, hi = 0, dist.eccentricity(0)
-        witness = None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            query = MespQuery(graph, dist, mid)
-            if solver_name == "cluster":
-                answer = solve_distance_to_cluster(query, modulator)
-            elif solver_name == "mw":
-                answer = solve_modular_width(query)
-            elif solver_name == "brute":
-                answer = solve_bruteforce(query)
-            else:
-                answer = solve_auto(query, cap_p=args.cap_p, cap_c=args.cap_c)
-            if answer.decision:
-                hi = mid
-                witness = answer.witness
-            else:
-                lo = mid + 1
-        t_solve = time.perf_counter() - t0
-        # oracle cross-check at k* (and k*-1) under a 10x time budget
-        budget = max(0.5, 10.0 * t_solve)
-        agree: bool | str
-        t0 = time.perf_counter()
-        try:
-            yes = solve_bruteforce(MespQuery(graph, dist, lo), time_limit=budget)
-            agree = yes.decision
-            if lo > 0 and agree:
-                below = solve_bruteforce(
-                    MespQuery(graph, dist, lo - 1), time_limit=budget
-                )
-                agree = not below.decision
-        except CapacityError:
-            agree = "timeout"
-        t_brute = time.perf_counter() - t0
-        rows.append({
+    for spec, graph, solver_name, params in _bench_instances(args):
+        row = {
             "family": args.family,
             "spec": spec,
             "seed": args.seed,
@@ -245,12 +224,18 @@ def cmd_bench(args) -> int:
             "m": graph.m,
             "params": json.dumps(params, sort_keys=True),
             "solver": solver_name,
-            "k_star": lo,
-            "witness_len": len(witness.vertices) if witness else 1,
-            "solve_seconds": round(t_solve, 6),
-            "oracle_seconds": round(t_brute, 6),
-            "oracle_agrees": agree,
-        })
+            "k_star": None,
+            "witness_len": None,
+            "solve_seconds": None,
+            "oracle_seconds": None,
+            "oracle_agrees": None,
+            "error": "",
+        }
+        try:
+            row.update(_bench_solve(graph, solver_name))
+        except Exception as exc:
+            row["error"] = _report(exc, f"{spec}: ")
+        rows.append(row)
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
     try:
         if args.format == "json":
@@ -263,7 +248,20 @@ def cmd_bench(args) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
-    return 0
+    return 2 if any(row["error"] for row in rows) else 0
+
+
+def _report(exc: Exception, where: str = "") -> str:
+    """Print an ``error:`` line for ``exc`` and return its message.  An
+    exception outside the expected kinds is a crash: its message keeps the
+    type name and its traceback is printed too."""
+    if isinstance(exc, (MespError, OSError, ValueError)):
+        message = str(exc)
+    else:
+        traceback.print_exception(type(exc), exc, exc.__traceback__, file=sys.stderr)
+        message = f"{type(exc).__name__}: {exc}"
+    print(f"error: {where}{message}", file=sys.stderr)
+    return message
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,11 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--k", type=int, help="desired eccentricity bound")
     group.add_argument("--minimize", action="store_true", help="search smallest k")
     solve.add_argument("--json", action="store_true")
-    solve.add_argument("--cap-p", type=int, default=6, help="cluster modulator search cap")
-    solve.add_argument("--cap-c", type=int, default=6, help="paths modulator search cap")
     solve.add_argument("--cap-mw", type=int, default=None, help="refuse wider prime patterns")
-    solve.add_argument("--threads", type=int, default=1,
-                       help="worker count (current build evaluates sequentially)")
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="check a witness path against a graph")
@@ -301,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-instance size specs: cluster-plus-p n:p, "
                             "subdivided-core core_n:core_m:n, substitution n:cap, random n:m")
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--cap-p", type=int, default=6)
-    bench.add_argument("--cap-c", type=int, default=6)
     bench.add_argument("--format", choices=("csv", "json"), default="csv")
     bench.add_argument("--out", default=None, help="write table here instead of stdout")
     bench.set_defaults(func=cmd_bench)
@@ -315,13 +307,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
-    except (MespError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # a crash must never read as a "no" (exit 1)
+        _report(exc)
         return 2
 
 

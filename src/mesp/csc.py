@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
-
 from .errors import CapacityError
+from .graph import _bits
 
 DEFAULT_R_CAP = 26
 DEFAULT_BRUTE_CAP = 2_000_000
@@ -208,12 +207,5 @@ def format_csc_instance(inst: CscInstance) -> str:
     for group in inst.groups:
         out.append(str(len(group)))
         for cand in group:
-            out.append(" ".join(str(b) for b in _mask_bits(cand.mask)))
+            out.append(" ".join(str(b) for b in _bits(cand.mask)))
     return "\n".join(out) + "\n"
-
-
-def _mask_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .graph import Graph, build_graph
+from .graph import Graph
 from .modulators import CLUSTER, Modulator
 
 GENERATOR_VERSION = "1"
@@ -46,7 +46,7 @@ def gen_random_connected(n: int, m: int, rng: random.Random) -> Graph:
     pool = [e for e in combinations(range(n), 2) if e not in edges]
     extra = rng.sample(pool, m - len(edges))
     edges.update(extra)
-    return build_graph(n, sorted(edges))
+    return Graph(n, sorted(edges))
 
 
 def gen_tree(n: int, rng: random.Random) -> Graph:
@@ -59,7 +59,7 @@ def gen_cluster_plus_p(n: int, p: int, rng: random.Random) -> tuple[Graph, Modul
     if p < 0 or p > n:
         raise ValueError(f"p={p} out of range for n={n}")
     if p == 0:
-        return build_graph(n, combinations(range(n), 2)), Modulator(CLUSTER, frozenset())
+        return Graph(n, combinations(range(n), 2)), Modulator(CLUSTER, frozenset())
     base = n - p
     if base == 0:
         # no cliques at all: arbitrary connected graph on the modulator
@@ -97,7 +97,7 @@ def gen_cluster_plus_p(n: int, p: int, rng: random.Random) -> tuple[Graph, Modul
         else:
             ci = rng.choice(touched[ai - 1])
             edges.append((rng.choice(cliques[ci]), apexes[ai]))
-    graph = build_graph(n, sorted(set(edges)))
+    graph = Graph(n, sorted(set(edges)))
     return graph, Modulator(CLUSTER, frozenset(apexes))
 
 
@@ -125,7 +125,7 @@ def gen_subdivided_core(
             prev = nxt
             nxt += 1
         edges.append((prev, b))
-    graph = build_graph(n, edges)
+    graph = Graph(n, edges)
     return graph, {"core_n": core_n, "core_m": core_m}
 
 
@@ -181,4 +181,4 @@ def gen_substitution(
         return verts
 
     build(0, n)
-    return build_graph(n, edges), bound
+    return Graph(n, edges), bound

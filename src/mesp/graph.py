@@ -98,11 +98,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Validate and build a simple connected graph on vertices 0..n-1."""
-    return Graph(n, edges)
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -360,11 +355,6 @@ def is_shortest_path(graph: Graph, dist: DistanceMatrix, vertices: Sequence[int]
     return dist.rows[vertices[0]][vertices[-1]] == t - 1
 
 
-def path_eccentricity(dist: DistanceMatrix, vertices: Sequence[int]) -> int:
-    """Eccentricity of the vertex set of a path: max over v of d(v, path)."""
-    return eccentricity_of_set(dist, vertices)
-
-
 def path_within_ecc(dist: DistanceMatrix, vertices: Sequence[int], k: int) -> bool:
     """True iff every vertex of the graph is within distance k of the path."""
     cover = dist.coverage_masks(k)
@@ -394,4 +384,4 @@ class PathWitness:
         return is_shortest_path(graph, dist, self.vertices)
 
     def eccentricity(self, dist: DistanceMatrix) -> int:
-        return path_eccentricity(dist, self.vertices)
+        return eccentricity_of_set(dist, self.vertices)

@@ -43,8 +43,10 @@ from .modulators import (
 SEGMENT_FALLBACK_CAP = 65536
 # estimated-operation budget for the automatic solver choice
 SOLVE_BUDGET = 1e18
-
-_UNSET = object()
+# largest modulator the automatic choice searches for
+MODULATOR_CAP = 6
+# solver names accepted by decide and minimize_k
+SOLVER_NAMES = ("auto", "brute", "mw", "cluster", "paths")
 
 
 @dataclass
@@ -860,35 +862,56 @@ def solve_distance_to_disjoint_paths(
 
 
 # ---------------------------------------------------------------------------
-# automatic choice
+# prepared instance, dispatch and the search for k
 
 
-def solve_auto(
-    query: MespQuery,
-    cap_p: int = 6,
-    cap_c: int = 6,
-    budget: float = SOLVE_BUDGET,
-    tree: MDNode | None = None,
-    cluster_mod=_UNSET,
-    paths_mod=_UNSET,
-) -> MespAnswer:
-    """Estimate each solver's cost from its worst-case bound and run the
-    cheapest applicable one.
+class Instance:
+    """A graph prepared for MESP decisions at any k.
 
-    Parameter search uses budget-incrementing finders capped at cap_p/cap_c.
-    The enumeration cost uses the count of vertices of degree other than 2 as
-    a stand-in for the graph's core size.  Raises a capacity error when every
-    estimate exceeds the budget.
+    Holds the graph and its distance matrix and builds each structural
+    parameter (modular decomposition, minimum modulators) on first use, so
+    every decision that shares the instance shares one computation of it.
     """
-    graph, k = query.graph, query.k
+
+    def __init__(self, graph: Graph, dist: DistanceMatrix | None = None):
+        self.graph = graph
+        self.dist = all_pairs_distances(graph) if dist is None else dist
+        self._tree: MDNode | None = None
+        self._modulators: dict[tuple[str, int | None], Modulator | None] = {}
+
+    @property
+    def decomposition(self) -> MDNode:
+        if self._tree is None:
+            self._tree = modular_decomposition(self.graph)
+        return self._tree
+
+    def modulator(self, kind: str, cap: int | None = None) -> Modulator | None:
+        """Minimum modulator of ``kind`` (CLUSTER or DISJOINT_PATHS); None
+        when every one has more than ``cap`` vertices."""
+        key = (kind, cap)
+        if key not in self._modulators:
+            find = (
+                minimum_cluster_modulator if kind == CLUSTER
+                else minimum_disjoint_paths_modulator
+            )
+            self._modulators[key] = find(self.graph, cap)
+        return self._modulators[key]
+
+
+def _auto_choice(inst: Instance, k: int) -> tuple[str, dict]:
+    """Estimate each solver's cost from its worst-case bound; returns the
+    cheapest one and the parameters it was priced with.
+
+    Modulators are searched only up to MODULATOR_CAP.  The enumeration cost
+    uses the count of vertices of degree other than 2 as a stand-in for the
+    graph's core size.  Raises a capacity error when every estimate exceeds
+    SOLVE_BUDGET.
+    """
+    graph = inst.graph
     n = graph.n
-    if tree is None:
-        tree = modular_decomposition(graph)
-    w = modular_width(tree)
-    if cluster_mod is _UNSET:
-        cluster_mod = minimum_cluster_modulator(graph, cap_p)
-    if paths_mod is _UNSET:
-        paths_mod = minimum_disjoint_paths_modulator(graph, cap_c)
+    w = modular_width(inst.decomposition)
+    cluster_mod = inst.modulator(CLUSTER, MODULATOR_CAP)
+    paths_mod = inst.modulator(DISJOINT_PATHS, MODULATOR_CAP)
     branchish = sum(1 for v in range(n) if graph.degree(v) != 2)
 
     n3 = float(n) ** 3
@@ -903,7 +926,7 @@ def solve_auto(
         c = paths_mod.size
         cost = 2.0 ** min(5 * c, 400) * float(max(k, 1)) ** min(c, 60) * max(c, 1)
         options.append((cost * float(n) ** 4, 2, "paths"))
-    usable = [opt for opt in options if opt[0] <= budget]
+    usable = [opt for opt in options if opt[0] <= SOLVE_BUDGET]
     if not usable:
         raise CapacityError(
             f"no solver within budget (mw={w}, p="
@@ -911,73 +934,59 @@ def solve_auto(
             f"{paths_mod.size if paths_mod else '>cap'}, core-ish={branchish})"
         )
     _, _, pick = min(usable)
-    if pick == "mw":
-        answer = solve_modular_width(query, tree)
-    elif pick == "cluster":
-        answer = solve_distance_to_cluster(query, cluster_mod)
-    elif pick == "paths":
-        answer = solve_distance_to_disjoint_paths(query, paths_mod)
+    return pick, {
+        "mw": w,
+        "p": cluster_mod.size if cluster_mod is not None else None,
+        "c": paths_mod.size if paths_mod is not None else None,
+    }
+
+
+def decide(inst: Instance, k: int, solver: str = "auto") -> MespAnswer:
+    """Decide MESP at ``k`` with the solver named ``solver`` (SOLVER_NAMES).
+
+    ``auto`` runs the cheapest solver by estimate and reports it as
+    ``auto:<name>`` with every parameter it priced.
+    """
+    query = MespQuery(inst.graph, inst.dist, k)
+    if solver == "auto":
+        pick, priced = _auto_choice(inst, k)
+        cap = MODULATOR_CAP
     else:
+        pick, priced, cap = solver, None, None
+    if pick == "brute":
         answer = solve_bruteforce(query)
-    answer.stats.solver = f"auto:{pick}"
-    answer.stats.params.update(
-        {
-            "mw": w,
-            "p": cluster_mod.size if cluster_mod is not None else None,
-            "c": paths_mod.size if paths_mod is not None else None,
-        }
-    )
+    elif pick == "mw":
+        answer = solve_modular_width(query, inst.decomposition)
+    elif pick == "cluster":
+        answer = solve_distance_to_cluster(query, inst.modulator(CLUSTER, cap))
+    elif pick == "paths":
+        answer = solve_distance_to_disjoint_paths(query, inst.modulator(DISJOINT_PATHS, cap))
+    else:
+        raise ValueError(f"unknown solver {solver!r}")
+    if priced is not None:
+        answer.stats.solver = f"auto:{pick}"
+        answer.stats.params.update(priced)
     return answer
 
 
-def minimize_k(
-    graph: Graph,
-    solver: str = "auto",
-    dist: DistanceMatrix | None = None,
-    cap_p: int = 6,
-    cap_c: int = 6,
-) -> tuple[int, PathWitness]:
+def solve_auto(query: MespQuery) -> MespAnswer:
+    """Decide ``query`` with the cheapest solver by estimate (see decide)."""
+    return decide(Instance(query.graph, query.dist), query.k, "auto")
+
+
+def minimize_k(inst: Instance, solver: str = "auto") -> tuple[int, PathWitness]:
     """Smallest k answered yes, with a witness for it.
 
     Binary search over [0, ecc(v0)] is sound because a witness for k is a
     witness for k + 1, and the single-vertex path (v0) always witnesses
-    ecc(v0).  Heavy shared structures are computed once.
+    ecc(v0).  Every probe shares ``inst``, so each structural parameter is
+    built at most once.
     """
-    if dist is None:
-        dist = all_pairs_distances(graph)
-    tree = cluster_mod = paths_mod = None
-    if solver in ("mw", "auto"):
-        tree = modular_decomposition(graph)
-    if solver == "cluster":
-        cluster_mod = minimum_cluster_modulator(graph)
-    if solver == "paths":
-        paths_mod = minimum_disjoint_paths_modulator(graph)
-    if solver == "auto":
-        cluster_mod = minimum_cluster_modulator(graph, cap_p)
-        paths_mod = minimum_disjoint_paths_modulator(graph, cap_c)
-
-    def decide(k: int) -> MespAnswer:
-        query = MespQuery(graph, dist, k)
-        if solver == "brute":
-            return solve_bruteforce(query)
-        if solver == "mw":
-            return solve_modular_width(query, tree)
-        if solver == "cluster":
-            return solve_distance_to_cluster(query, cluster_mod)
-        if solver == "paths":
-            return solve_distance_to_disjoint_paths(query, paths_mod)
-        if solver == "auto":
-            return solve_auto(
-                query, cap_p=cap_p, cap_c=cap_c, tree=tree,
-                cluster_mod=cluster_mod, paths_mod=paths_mod,
-            )
-        raise ValueError(f"unknown solver {solver!r}")
-
-    lo, hi = 0, dist.eccentricity(0)
+    lo, hi = 0, inst.dist.eccentricity(0)
     best = PathWitness((0,))
     while lo < hi:
         mid = (lo + hi) // 2
-        answer = decide(mid)
+        answer = decide(inst, mid, solver)
         if answer.decision:
             hi = mid
             best = answer.witness

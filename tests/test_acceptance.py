@@ -14,12 +14,12 @@ from mesp import (
     Graph,
     MespQuery,
     all_pairs_distances,
+    eccentricity_of_set,
     expand_mdtree,
     minimum_cluster_modulator,
     minimum_disjoint_paths_modulator,
     modular_decomposition,
     modulator_is_valid,
-    path_eccentricity,
     solve_bruteforce,
     solve_csc,
     solve_csc_bruteforce,
@@ -236,7 +236,7 @@ def test_c7_structural_spot_suite():
         est = [min(rows[v][s] + dlt[s] for s in chat) for v in range(n)]
         for v in range(n):
             assert _d_set(rows, v, pset) <= est[v], ("lower bound", v)
-        k = path_eccentricity(dist, tuple(P))
+        k = eccentricity_of_set(dist, tuple(P))
         over = [v for v in range(n) if v not in pset and est[v] > k]
         assert len(over) <= 2 * (len(pset & chat) - 1), ("off-path count", over)
 

@@ -85,9 +85,6 @@ class TestSolve:
     def test_negative_k(self, c6_file, capsys):
         assert main(["solve", "--k", "-1", c6_file]) == 2
 
-    def test_bad_threads(self, c6_file, capsys):
-        assert main(["solve", "--k", "1", "--threads", "0", c6_file]) == 2
-
     def test_usage_error(self, c6_file):
         assert main(["solve", c6_file]) == 2  # neither --k nor --minimize
         assert main(["frobnicate"]) == 2
@@ -182,3 +179,40 @@ class TestBench:
         rows2 = list(csv.DictReader(io.StringIO(second)))
         assert rows1[0]["digest"] == rows2[0]["digest"]
         assert rows1[0]["k_star"] == rows2[0]["k_star"]
+
+
+class TestFailures:
+    def test_crash_is_not_a_no(self, c6_file, capsys, monkeypatch):
+        def crash(query, time_limit=None):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("mesp.solvers.solve_bruteforce", crash)
+        assert main(["solve", "--k", "1", "--solver", "brute", c6_file]) == 2
+        assert "error: RecursionError" in capsys.readouterr().err
+
+    def test_bench_row_error_keeps_other_rows(self, capsys, monkeypatch):
+        import mesp.cli
+        from mesp import CapacityError
+
+        original = mesp.cli.minimize_k
+        calls = []
+
+        def second_fails(inst, solver):
+            calls.append(solver)
+            if len(calls) == 2:
+                raise CapacityError("no solver within budget")
+            return original(inst, solver)
+
+        monkeypatch.setattr(mesp.cli, "minimize_k", second_fails)
+        rc = main([
+            "bench", "--family", "random",
+            "--sizes", "8:10", "10:12", "12:16", "--format", "json",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        rows = json.loads(captured.out)
+        assert [r["spec"] for r in rows] == ["8:10", "10:12", "12:16"]
+        assert [r["error"] for r in rows] == ["", "no solver within budget", ""]
+        assert rows[0]["k_star"] is not None and rows[0]["oracle_agrees"] is True
+        assert rows[1]["k_star"] is None
+        assert "no solver within budget" in captured.err

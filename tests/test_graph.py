@@ -12,14 +12,12 @@ from mesp import (
     GraphFormatError,
     PathWitness,
     all_pairs_distances,
-    build_graph,
     closed_k_neighborhood,
     dist_to_set,
     eccentricity_of_set,
     enumerate_shortest_paths,
     is_shortest_path,
     parse_graph,
-    path_eccentricity,
     path_within_ecc,
     unique_order,
 )
@@ -28,19 +26,19 @@ import oracles
 
 
 def cycle(n):
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n):
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete(n):
-    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def star(leaves):
-    return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def random_connected(rng, n, m):
@@ -51,32 +49,32 @@ def random_connected(rng, n, m):
 
 class TestConstruction:
     def test_k2(self):
-        g = build_graph(2, [(0, 1)])
+        g = Graph(2, [(0, 1)])
         assert g.n == 2 and g.m == 1
         assert g.adjacency[0] == (1,)
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
-            build_graph(3, [(0, 1)])
+            Graph(3, [(0, 1)])
 
     def test_c4(self):
-        g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert sorted(g.edges()) == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
     def test_loop_rejected(self):
         with pytest.raises(GraphFormatError):
-            build_graph(2, [(0, 0), (0, 1)])
+            Graph(2, [(0, 0), (0, 1)])
 
     def test_duplicate_rejected(self):
         with pytest.raises(GraphFormatError):
-            build_graph(2, [(0, 1), (1, 0)])
+            Graph(2, [(0, 1), (1, 0)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphFormatError):
-            build_graph(2, [(0, 2)])
+            Graph(2, [(0, 2)])
 
     def test_adjacency_sorted_and_symmetric(self):
-        g = build_graph(4, [(2, 0), (3, 1), (1, 0), (3, 2)])
+        g = Graph(4, [(2, 0), (3, 1), (1, 0), (3, 2)])
         for v in range(4):
             assert list(g.adjacency[v]) == sorted(g.adjacency[v])
             for w in g.adjacency[v]:
@@ -177,7 +175,7 @@ class TestUniqueOrder:
         for n, edges in catalog7:
             if n > 5:
                 continue
-            g = build_graph(n, edges)
+            g = Graph(n, edges)
             dist = all_pairs_distances(g)
             achieved = oracles.visit_orders(n, edges)
             for (s, members), orders in achieved.items():
@@ -210,7 +208,7 @@ class TestEnumeration:
         for n, edges in catalog7:
             if n > 6:
                 continue
-            g = build_graph(n, edges)
+            g = Graph(n, edges)
             dist = all_pairs_distances(g)
             seen = set()
             for p in enumerate_shortest_paths(g, dist):
@@ -252,8 +250,8 @@ class TestPathChecks:
 
     def test_path_eccentricity(self):
         dist = all_pairs_distances(cycle(6))
-        assert path_eccentricity(dist, (0, 1, 2, 3)) == 1
-        assert path_eccentricity(dist, (0,)) == 3
+        assert eccentricity_of_set(dist, (0, 1, 2, 3)) == 1
+        assert eccentricity_of_set(dist, (0,)) == 3
         assert path_within_ecc(dist, (0, 1, 2, 3), 1)
         assert not path_within_ecc(dist, (0, 1, 2, 3), 0)
 

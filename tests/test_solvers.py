@@ -12,6 +12,7 @@ from mesp import (
     CapacityError,
     DisconnectedGraphError,
     Graph,
+    Instance,
     MDNode,
     MespQuery,
     Modulator,
@@ -238,9 +239,10 @@ class TestAuto:
         for k in (0, 3, 8):
             assert solve_auto(q(g, k)).decision == brute_decision(g, k)
 
-    def test_budget_exhausted(self):
+    def test_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr("mesp.solvers.SOLVE_BUDGET", 1)
         with pytest.raises(CapacityError):
-            solve_auto(q(cycle(8), 1), budget=1)
+            solve_auto(q(cycle(8), 1))
 
     def test_agrees_with_brute_random(self):
         rng = random.Random(24)
@@ -253,19 +255,19 @@ class TestAuto:
 
 class TestMinimize:
     def test_path(self):
-        k, wit = minimize_k(path(9))
+        k, wit = minimize_k(Instance(path(9)))
         assert k == 0 and wit.vertices == tuple(range(9))
 
     def test_c6(self):
-        k, wit = minimize_k(cycle(6))
+        k, wit = minimize_k(Instance(cycle(6)))
         assert k == 1 and len(wit.vertices) == 4
 
     def test_claw(self):
-        k, _ = minimize_k(star(3))
+        k, _ = minimize_k(Instance(star(3)))
         assert k == 1
 
     def test_single_vertex(self):
-        k, wit = minimize_k(Graph(1, []))
+        k, wit = minimize_k(Instance(Graph(1, [])))
         assert k == 0 and wit.vertices == (0,)
 
     def test_matches_oracle_random(self):
@@ -274,7 +276,7 @@ class TestMinimize:
             for _ in range(8):
                 n = rng.randint(3, 8)
                 g = random_connected(rng, n, rng.randint(n - 1, n * (n - 1) // 2))
-                k, wit = minimize_k(g, solver=solver)
+                k, wit = minimize_k(Instance(g), solver=solver)
                 assert k == oracles.mesp_min_k(n, list(g.edges())), (
                     solver,
                     list(g.edges()),
