@@ -129,20 +129,11 @@ def reconstruct_selection(
     return CscSolution(tuple(chosen))
 
 
-def solve_csc(
-    inst: CscInstance, r_cap: int = DEFAULT_R_CAP, target: int | None = None
-) -> CscSolution | None:
-    """Return one selection covering all requirements, or None if infeasible.
-
-    With ``target`` given, only that subset of the requirements has to be
-    covered (used by callers that pre-satisfy part of the universe).
-    """
+def solve_csc(inst: CscInstance, r_cap: int = DEFAULT_R_CAP) -> CscSolution | None:
+    """Return one selection covering all requirements, or None if infeasible."""
     if any(len(group) == 0 for group in inst.groups):
         return None
-    layers = dp_layers(inst, r_cap)
-    if target is None:
-        target = (1 << inst.r) - 1
-    return reconstruct_selection(inst, layers, target)
+    return reconstruct_selection(inst, dp_layers(inst, r_cap), (1 << inst.r) - 1)
 
 
 def solve_csc_bruteforce(

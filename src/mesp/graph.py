@@ -23,6 +23,35 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _mask_of(vertices: Iterable[int]) -> int:
+    """Bitmask with bit ``v`` set for every ``v`` in ``vertices``."""
+    mk = 0
+    for v in vertices:
+        mk |= 1 << v
+    return mk
+
+
+def components(adj: Sequence[int], live: int) -> list[int]:
+    """Connected components of the subgraph induced by the mask ``live``.
+
+    ``adj[v]`` is the neighbor mask of vertex v.  Components come back as
+    masks ordered by their smallest vertex.
+    """
+    comps = []
+    todo = live
+    while todo:
+        reach = frontier = todo & -todo
+        while frontier:
+            nxt = 0
+            for v in _bits(frontier):
+                nxt |= adj[v]
+            frontier = nxt & live & ~reach
+            reach |= frontier
+        comps.append(reach)
+        todo &= ~reach
+    return comps
+
+
 class Graph:
     """Immutable simple undirected connected graph.
 
@@ -64,22 +93,10 @@ class Graph:
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
             tuple(_bits(mk)) for mk in masks
         )
-        # connectivity by bitmask flood fill
-        reach = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= masks[v]
-            frontier = nxt & ~reach
-            reach |= frontier
-        if reach != (1 << n) - 1:
+        if len(components(masks, (1 << n) - 1)) > 1:
             raise DisconnectedGraphError(f"graph is disconnected ({n} vertices, {m} edges)")
 
     # -- small conveniences ------------------------------------------------
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -198,9 +215,6 @@ class DistanceMatrix:
 
     def d(self, u: int, v: int) -> int:
         return self.rows[u][v]
-
-    def row(self, u: int) -> list[int]:
-        return self.rows[u]
 
     def eccentricity(self, v: int) -> int:
         return max(self.rows[v])

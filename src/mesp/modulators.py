@@ -5,20 +5,21 @@ cluster graph (disjoint union of cliques) or a disjoint union of paths.
 Both finders are bounded search trees; the budget-free entry points grow the
 budget from zero, so the first hit has minimum size.
 
-The modular decomposition is the classic recursive one: split a disconnected
-graph into components (union node), a co-disconnected graph into
-co-components (join node), and otherwise compute the maximal proper modules,
-which partition the vertex set and leave a prime quotient pattern.
+The modular decomposition splits a disconnected vertex set into components
+(union node), a co-disconnected one into co-components (join node), and
+otherwise into its maximal proper modules, which partition the set and leave
+a prime quotient pattern.  Sets are split from an explicit stack and nodes
+are built children first, so no call nests once per tree level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import MespError
-from .graph import Graph, _bits
+from .graph import Graph, _bits, _mask_of, components
 
 CLUSTER = "cluster"
 DISJOINT_PATHS = "disjoint-paths"
@@ -38,13 +39,6 @@ class Modulator:
     @property
     def size(self) -> int:
         return len(self.vertices)
-
-
-def _mask_of(vertices: Iterable[int]) -> int:
-    mk = 0
-    for v in vertices:
-        mk |= 1 << v
-    return mk
 
 
 # ---------------------------------------------------------------------------
@@ -77,25 +71,7 @@ def residual_is_disjoint_paths(graph: Graph, removed: Iterable[int]) -> bool:
         nverts += 1
         nedges += deg
     # max degree <= 2: paths iff no cycle iff every component is a tree
-    return nedges // 2 == nverts - _count_components(adj, live)
-
-
-def _count_components(adj: list[int], live: int) -> int:
-    count = 0
-    todo = live
-    while todo:
-        count += 1
-        start = todo & -todo
-        reach = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & live & ~reach
-            reach |= frontier
-        todo &= ~reach
-    return count
+    return nedges // 2 == nverts - len(components(adj, live))
 
 
 def modulator_is_valid(graph: Graph, mod: Modulator) -> bool:
@@ -171,27 +147,15 @@ def _max_high_degree(graph: Graph, removed: int) -> int | None:
     return best
 
 
-def _residual_cycle_minima(graph: Graph, removed: int) -> list[int] | None:
+def _residual_cycle_minima(graph: Graph, removed: int) -> list[int]:
     """Smallest vertex of each cycle of the residual graph (max degree <= 2)."""
     live = ((1 << graph.n) - 1) & ~removed
     adj = graph.adj_mask
     minima = []
-    todo = live
-    while todo:
-        start = todo & -todo
-        reach = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & live & ~reach
-            reach |= frontier
-        todo &= ~reach
-        nverts = reach.bit_count()
-        nedges = sum((adj[v] & reach).bit_count() for v in _bits(reach)) // 2
-        if nedges == nverts:  # the component is a cycle
-            minima.append((reach & -reach).bit_length() - 1)
+    for comp in components(adj, live):
+        nedges = sum((adj[v] & comp).bit_count() for v in _bits(comp)) // 2
+        if nedges == comp.bit_count():  # the component is a cycle
+            minima.append((comp & -comp).bit_length() - 1)
     return minima
 
 
@@ -249,29 +213,33 @@ class MDNode:
     kind is one of ``leaf`` (single vertex), ``union`` (children are the
     connected components), ``join`` (children are the co-components) or
     ``prime`` (children are the maximal proper modules; ``pattern`` is the
-    quotient graph, its vertex i standing for ``children[i]``).
+    quotient graph, its vertex i standing for ``children[i]``).  ``mask`` is
+    the node's vertex set, derived from the vertex or the children.
     """
 
     kind: str
     vertex: int = -1
     children: tuple["MDNode", ...] = ()
     pattern: Graph | None = None
+    mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind == "leaf":
+            mask = 1 << self.vertex
+        else:
+            mask = 0
+            for ch in self.children:
+                mask |= ch.mask
+        object.__setattr__(self, "mask", mask)
 
     def vertex_mask(self) -> int:
-        if self.kind == "leaf":
-            return 1 << self.vertex
-        mk = 0
-        for ch in self.children:
-            mk |= ch.vertex_mask()
-        return mk
+        return self.mask
 
     def vertices(self) -> tuple[int, ...]:
-        return tuple(_bits(self.vertex_mask()))
+        return tuple(_bits(self.mask))
 
     def min_vertex(self) -> int:
-        if self.kind == "leaf":
-            return self.vertex
-        return min(ch.min_vertex() for ch in self.children)
+        return (self.mask & -self.mask).bit_length() - 1
 
 
 def is_module(graph: Graph, vertices: Iterable[int]) -> bool:
@@ -288,26 +256,7 @@ def is_module(graph: Graph, vertices: Iterable[int]) -> bool:
 def modular_decomposition(graph: Graph) -> MDNode:
     adj = graph.adj_mask
     full = (1 << graph.n) - 1
-
-    def components(mask: int, complement: bool) -> list[int]:
-        comps = []
-        todo = mask
-        while todo:
-            start = todo & -todo
-            reach = start
-            frontier = start
-            while frontier:
-                nxt = 0
-                for v in _bits(frontier):
-                    av = adj[v]
-                    if complement:
-                        av = ~av & ~(1 << v)
-                    nxt |= av
-                frontier = nxt & mask & ~reach
-                reach |= frontier
-            comps.append(reach)
-            todo &= ~reach
-        return comps
+    co_adj = [full & ~av & ~(1 << v) for v, av in enumerate(adj)]
 
     def modules_avoiding(mask: int, v: int) -> list[int]:
         # maximal modules of the induced subgraph that do not contain v:
@@ -384,61 +333,87 @@ def modular_decomposition(graph: Graph) -> MDNode:
                     raise MespError("modular decomposition produced a non-module part")
         return parts
 
-    def decompose(mask: int) -> MDNode:
+    # split every set from a stack, parents before children; the parts of a
+    # split come ordered by their smallest vertex
+    splits = []
+    todo = [full]
+    while todo:
+        mask = todo.pop()
+        pattern = None
         if mask & (mask - 1) == 0:
-            return MDNode("leaf", vertex=mask.bit_length() - 1)
-        comps = components(mask, complement=False)
-        if len(comps) > 1:
-            comps.sort(key=lambda c: c & -c)
-            return MDNode("union", children=tuple(decompose(c) for c in comps))
-        cocomps = components(mask, complement=True)
-        if len(cocomps) > 1:
-            cocomps.sort(key=lambda c: c & -c)
-            return MDNode("join", children=tuple(decompose(c) for c in cocomps))
-        parts = maximal_proper_modules(mask)
-        parts.sort(key=lambda c: c & -c)
-        reps = [(p & -p).bit_length() - 1 for p in parts]
-        edges = [
-            (i, j)
-            for i, j in combinations(range(len(parts)), 2)
-            if adj[reps[i]] >> reps[j] & 1
-        ]
-        pattern = Graph(len(parts), edges)
-        return MDNode("prime", children=tuple(decompose(p) for p in parts), pattern=pattern)
+            kind, parts = "leaf", []
+        else:
+            kind, parts = "union", components(adj, mask)
+            if len(parts) == 1:
+                kind, parts = "join", components(co_adj, mask)
+            if len(parts) == 1:
+                kind, parts = "prime", maximal_proper_modules(mask)
+                parts.sort(key=lambda c: c & -c)
+                reps = [(p & -p).bit_length() - 1 for p in parts]
+                edges = [
+                    (i, j)
+                    for i, j in combinations(range(len(parts)), 2)
+                    if adj[reps[i]] >> reps[j] & 1
+                ]
+                pattern = Graph(len(parts), edges)
+        splits.append((mask, kind, parts, pattern))
+        todo.extend(parts)
 
-    root = decompose(full)
-    return root
+    # build the nodes in reverse, so every child exists before its parent
+    built: dict[int, MDNode] = {}
+    for mask, kind, parts, pattern in reversed(splits):
+        if kind == "leaf":
+            built[mask] = MDNode("leaf", vertex=mask.bit_length() - 1)
+        else:
+            children = tuple(built.pop(p) for p in parts)
+            built[mask] = MDNode(kind, children=children, pattern=pattern)
+    return built[full]
+
+
+def _nodes(root: MDNode) -> Iterator[MDNode]:
+    """Every node of the tree, each parent before its children."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children)
 
 
 def modular_width(node: MDNode) -> int:
     """Largest child count over prime nodes; 0 when the tree has none."""
-    w = len(node.children) if node.kind == "prime" else 0
-    for ch in node.children:
-        w = max(w, modular_width(ch))
-    return w
+    return max((len(nd.children) for nd in _nodes(node) if nd.kind == "prime"), default=0)
 
 
 def mdtree_to_sexpr(node: MDNode) -> str:
-    if node.kind == "leaf":
-        return f"(leaf {node.vertex})"
-    inner = " ".join(mdtree_to_sexpr(ch) for ch in node.children)
-    return f"({node.kind} {inner})"
+    out = []
+    stack: list[MDNode | str] = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.kind == "leaf":
+            out.append(f"(leaf {item.vertex})")
+        else:
+            out.append(f"({item.kind} ")
+            # pushed in reverse, so the children pop in order before the ")"
+            stack.append(")")
+            for i, ch in enumerate(reversed(item.children)):
+                if i:
+                    stack.append(" ")
+                stack.append(ch)
+    return "".join(out)
 
 
 def expand_mdtree(node: MDNode) -> set[tuple[int, int]]:
     """Edge set the tree describes, for checking it reproduces the graph."""
-    if node.kind == "leaf":
-        return set()
     edges: set[tuple[int, int]] = set()
-    child_masks = [ch.vertex_mask() for ch in node.children]
-    for ch in node.children:
-        edges |= expand_mdtree(ch)
-    for i, j in combinations(range(len(node.children)), 2):
-        joined = node.kind == "join" or (
-            node.kind == "prime" and node.pattern.has_edge(i, j)
-        )
-        if joined:
-            for u in _bits(child_masks[i]):
-                for v in _bits(child_masks[j]):
-                    edges.add((min(u, v), max(u, v)))
+    for nd in _nodes(node):
+        for i, j in combinations(range(len(nd.children)), 2):
+            joined = nd.kind == "join" or (
+                nd.kind == "prime" and nd.pattern.has_edge(i, j)
+            )
+            if joined:
+                for u in _bits(nd.children[i].mask):
+                    for v in _bits(nd.children[j].mask):
+                        edges.add((min(u, v), max(u, v)))
     return edges

@@ -22,7 +22,9 @@ from .graph import (
     PathWitness,
     _bits,
     _iter_path_events,
+    _mask_of,
     all_pairs_distances,
+    components,
     enumerate_shortest_paths,
     is_shortest_path,
     unique_order,
@@ -39,8 +41,6 @@ from .modulators import (
     modulator_is_valid,
 )
 
-# combinations per pair-group before the exhaustive segment fallback gives up
-SEGMENT_FALLBACK_CAP = 65536
 # estimated-operation budget for the automatic solver choice
 SOLVE_BUDGET = 1e18
 # largest modulator the automatic choice searches for
@@ -250,28 +250,14 @@ class _ClusterSearch:
         self.adj = query.graph.adj_mask
         self.cover_k = query.dist.coverage_masks(query.k)
         self.U = sorted(modulator.vertices)
-        u_mask = 0
-        for v in self.U:
-            u_mask |= 1 << v
-        self.vc_mask = self.full & ~u_mask
+        self.vc_mask = self.full & ~_mask_of(self.U)
         # label the residual cliques; vertices of one clique are mutually
         # adjacent, so they are saved by exactly the same path vertices
         self.clique_id = [-1] * self.n
-        self.cliques: list[int] = []
-        todo = self.vc_mask
-        while todo:
-            comp = todo & -todo
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for v in _bits(frontier):
-                    nxt |= self.adj[v]
-                frontier = nxt & self.vc_mask & ~comp
-                comp |= frontier
+        self.cliques = components(self.adj, self.vc_mask)
+        for ci, comp in enumerate(self.cliques):
             for v in _bits(comp):
-                self.clique_id[v] = len(self.cliques)
-            self.cliques.append(comp)
-            todo &= ~comp
+                self.clique_id[v] = ci
 
     def run(self) -> tuple[int, ...] | None:
         for lsize in range(1, len(self.U) + 1):
@@ -578,20 +564,17 @@ class _DisjointPathsSearch:
     A guess fixes the path endpoints, the set L of augmented-modulator
     vertices on the path, and a distance estimate delta for the modulator
     vertices off the path.  Connecting segments between consecutive on-path
-    vertices are filtered by the estimate and chosen by a set-cover DP; the
-    spliced result is verified before being returned.
+    vertices are filtered by the estimate and chosen by a set-cover DP whose
+    selection, spliced, is always a witness.
     """
 
     def __init__(self, query: MespQuery, modulator: Modulator, stats: SolveStats):
-        self.graph = query.graph
         self.dist = query.dist
         self.k = query.k
         self.stats = stats
         self.n = query.graph.n
-        self.full = (1 << self.n) - 1
         self.rows = query.dist.rows
         self.adj = query.graph.adj_mask
-        self.cover_k = query.dist.coverage_masks(query.k)
         self.C = sorted(modulator.vertices)
 
     def run(self) -> tuple[int, ...] | None:
@@ -610,9 +593,7 @@ class _DisjointPathsSearch:
     def _try_endpoints(self, p_first, p_last, span):
         rows, k = self.rows, self.k
         chat = sorted(set(self.C) | {p_first, p_last})
-        chat_mask = 0
-        for v in chat:
-            chat_mask |= 1 << v
+        chat_mask = _mask_of(chat)
         lo_bound: dict[int, int] = {}
         between = []
         for v in chat:
@@ -673,16 +654,8 @@ class _DisjointPathsSearch:
             segs = [()] if d_ab == 1 else self._segments(a, b, d_ab, chat_mask)
             if not segs:
                 return None
-            with_masks = []
-            union = 0
-            for seg in segs:
-                vm = 0
-                for w in seg:
-                    vm |= 1 << w
-                with_masks.append((seg, vm))
-                union |= vm
-            seg_groups.append(with_masks)
-            pair_union.append(union)
+            seg_groups.append([(seg, _mask_of(seg)) for seg in segs])
+            pair_union.append(_mask_of(w for seg in segs for w in seg))
 
         others = [v for v in chat if v not in l_set]
         ranges = []
@@ -797,37 +770,20 @@ class _DisjointPathsSearch:
         sol = solve_csc(inst)
         if sol is None:
             return None
-
-        def splice(segs):
-            path = [pi[0]]
-            for i, seg in enumerate(segs):
-                path.extend(seg)
-                path.append(pi[i + 1])
-            return tuple(path)
-
-        cover_k, full = self.cover_k, self.full
-
-        def verify(path):
-            got = 0
-            for w in path:
-                got |= cover_k[w]
-            return got == full and is_shortest_path(self.graph, self.dist, path)
-
-        path = splice([c.payload for c in sol.candidates(inst)])
-        if verify(path):
-            return path
-        # the DP may have picked segments that share vertices; only combined
-        # enumeration can then tell feasible configurations apart
-        total = 1
-        for keep in kept_groups:
-            total *= len(keep)
-            if total > SEGMENT_FALLBACK_CAP:
-                return None
-        for combo in product(*(range(len(keep)) for keep in kept_groups)):
-            path = splice([kept_groups[gi][ci][0] for gi, ci in enumerate(combo)])
-            if verify(path):
-                return path
-        return None
+        # The splice needs no check here (_finish_yes re-verifies it anyway).
+        # It is a shortest path: pi telescopes from pi[0], so the vertex at
+        # step j of a segment between pi[i] and pi[i+1] lies at distance
+        # d(pi[0], pi[i]) + j from pi[0], and no two path vertices share a
+        # distance.  It covers every vertex v: estimate[v] <= k is met through
+        # pi or a covered (o, delta) requirement; estimate[v] == k+1 inside a
+        # group's union is reached by every kept segment of that group, and
+        # outside all unions it is an off_far requirement; estimate[v] > k+1
+        # puts v in nec_mask, on the path.
+        path = [pi[0]]
+        for i, cand in enumerate(sol.candidates(inst)):
+            path.extend(cand.payload)
+            path.append(pi[i + 1])
+        return tuple(path)
 
 
 def solve_distance_to_disjoint_paths(

@@ -32,6 +32,28 @@ def bfs_row(adj: list[set[int]], s: int) -> list[int]:
     return dist
 
 
+def components(n: int, edges, live: set[int]) -> list[list[int]]:
+    """Components of the subgraph induced by ``live``, each as a sorted
+    vertex list, ordered by smallest vertex."""
+    adj = adjacency(n, edges)
+    seen: set[int] = set()
+    out = []
+    for s in sorted(live):
+        if s in seen:
+            continue
+        comp = {s}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u] & live:
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        out.append(sorted(comp))
+    return out
+
+
 def distance_rows(n: int, edges) -> list[list[int]]:
     adj = adjacency(n, edges)
     return [bfs_row(adj, s) for s in range(n)]

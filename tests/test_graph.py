@@ -1,6 +1,7 @@
 """Graph core: construction, distances, orders, path enumeration."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from mesp import (
     path_within_ecc,
     unique_order,
 )
+from mesp.graph import _bits, components
 
 import oracles
 
@@ -290,3 +292,27 @@ class TestParsing:
     def test_non_integer(self):
         with pytest.raises(GraphFormatError):
             parse_graph("2 1\n0 x\n")
+
+
+class TestComponents:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_bfs_oracle(self, data):
+        n = data.draw(st.integers(1, 20))
+        density = data.draw(st.sampled_from([0.05, 0.15, 0.3, 0.6, 0.9]))
+        rng = random.Random(data.draw(st.integers(0, 10**9)))
+        live = data.draw(st.integers(0, (1 << n) - 1))
+        pairs = list(combinations(range(n), 2))
+        edges = [p for p in pairs if rng.random() < density]
+        adj = [0] * n
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        # complement masks as the modular decomposition builds them
+        full = (1 << n) - 1
+        co_adj = [full & ~a & ~(1 << v) for v, a in enumerate(adj)]
+        co_edges = sorted(set(pairs) - set(edges))
+        live_set = set(_bits(live))
+        for masks, es in ((adj, edges), (co_adj, co_edges)):
+            got = [list(_bits(comp)) for comp in components(masks, live)]
+            assert got == oracles.components(n, es, live_set)

@@ -20,6 +20,7 @@ from mesp import (
     residual_is_cluster,
     residual_is_disjoint_paths,
 )
+from mesp.cli import main
 
 import oracles
 from smallgraphs import connected_catalog, edges_of
@@ -198,6 +199,26 @@ class TestModularDecomposition:
         diamond = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         assert modular_width(modular_decomposition(diamond)) == 0
         assert modular_width(modular_decomposition(cycle(6))) == 6
+
+
+def threshold_graph(n: int) -> Graph:
+    """Vertex i joined to every earlier vertex for odd i: a cograph whose
+    decomposition tree is about n levels deep."""
+    return Graph(n, [(j, i) for i in range(1, n, 2) for j in range(i)])
+
+
+class TestDeepTree:
+    def test_threshold_graph(self, tmp_path, capsys):
+        g = threshold_graph(600)
+        tree = modular_decomposition(g)
+        assert modular_width(tree) == 0
+        assert mdtree_to_sexpr(tree).count("(leaf ") == 600
+        assert expand_mdtree(tree) == set(g.edges())
+
+        f = tmp_path / "threshold.txt"
+        f.write_text(f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
+        assert main(["solve", str(f), "--k", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "yes"
 
 
 def _check_tree(g: Graph, node: MDNode) -> None:

@@ -16,6 +16,7 @@ from mesp import (
     MDNode,
     MespQuery,
     Modulator,
+    decide,
     minimize_k,
     minimum_cluster_modulator,
     minimum_disjoint_paths_modulator,
@@ -203,6 +204,35 @@ class TestDisjointPathsSolver:
             k = rng.randint(0, 3)
             got = solve_distance_to_disjoint_paths(q(g, k)).decision
             assert got == brute_decision(g, k), (list(g.edges()), k)
+
+    def test_paths_plus_c_matches_brute(self):
+        # the splice of the set-cover selection is the witness, with no
+        # fallback behind it: a flaw would raise, not turn into a "no"
+        for seed in range(100):
+            g, c = paths_plus_c(random.Random(seed))
+            inst = Instance(g)
+            for k in range(inst.dist.eccentricity(0) + 1):
+                got = decide(inst, k, "paths")
+                assert got.decision == brute_decision(g, k), (seed, k)
+                assert got.stats.params["c"] <= c
+
+
+def paths_plus_c(rng: random.Random) -> tuple[Graph, int]:
+    """2-4 disjoint paths of 3-9 vertices plus a chain of c <= 3 apexes.
+
+    Both ends and up to two interior vertices of every path are joined to
+    random apexes, so deleting the apexes leaves exactly the paths.
+    """
+    q_paths, length, c = rng.randint(2, 4), rng.randint(3, 9), rng.randint(1, 3)
+    n = q_paths * length + c
+    apexes = range(q_paths * length, n)
+    edges = {(a - 1, a) for a in apexes[1:]}
+    for i in range(q_paths):
+        first, last = i * length, (i + 1) * length - 1
+        edges.update((v, v + 1) for v in range(first, last))
+        attached = [first, last] + [rng.randint(first, last) for _ in range(rng.randint(0, 2))]
+        edges.update((v, rng.choice(apexes)) for v in attached)
+    return Graph(n, sorted(edges)), c
 
 
 class TestAuto:
