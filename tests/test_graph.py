@@ -22,6 +22,7 @@ from mesp import (
     path_within_ecc,
     unique_order,
 )
+from mesp.generators import gen_subdivided_core, gen_substitution
 from mesp.graph import _bits, components
 
 import oracles
@@ -113,10 +114,38 @@ class TestDistances:
                 assert (dist.d(u, v) == 1) == g.has_edge(u, v)
                 for w in range(n):
                     assert dist.d(u, w) <= dist.d(u, v) + dist.d(v, w)
+        assert_matches_oracle(g, dist, rows)
 
     def test_eccentricity(self):
         dist = all_pairs_distances(cycle(6))
         assert dist.eccentricity(0) == 3
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rng: gen_substitution(200, 6, rng),
+            lambda rng: gen_subdivided_core(10, 12, 200, rng),
+        ],
+        ids=["substitution", "subdivided-core"],
+    )
+    def test_benchmark_sized_graphs_match_oracle(self, build):
+        # n = 200: a dense graph of diameter 3 and a sparse one of diameter 71
+        g, _ = build(random.Random(7))
+        rows = oracles.distance_rows(g.n, g.edges())
+        assert_matches_oracle(g, all_pairs_distances(g), rows, range(1, 4))
+
+
+def assert_matches_oracle(g, dist, rows, ks=None):
+    """Rows, eccentricities and coverage masks for each k in ``ks`` (every k
+    from 0 to the diameter by default) agree with the oracle's ``rows``."""
+    assert dist.rows == rows
+    if ks is None:
+        ks = range(max(map(max, rows)) + 1)
+    for v in range(g.n):
+        assert dist.eccentricity(v) == max(rows[v])
+    for k in ks:
+        want = [sum(1 << u for u in range(g.n) if row[u] <= k) for row in rows]
+        assert dist.coverage_masks(k) == want
 
 
 class TestSetDistance:
