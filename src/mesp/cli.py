@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import random
 import sys
@@ -64,11 +63,8 @@ class RunReport:
 
 def graph_digest(graph: Graph) -> str:
     """Digest of the normalized edge list, independent of input format."""
-    blob = io.StringIO()
-    blob.write(f"{graph.n}\n")
-    for a, b in sorted(graph.edges()):
-        blob.write(f"{a} {b}\n")
-    return hashlib.sha256(blob.getvalue().encode()).hexdigest()[:16]
+    blob = f"{graph.n}\n" + "".join(f"{a} {b}\n" for a, b in graph.edges())
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def cmd_solve(args) -> int:

@@ -260,47 +260,50 @@ def modular_decomposition(graph: Graph) -> MDNode:
 
     def modules_avoiding(mask: int, v: int) -> list[int]:
         # maximal modules of the induced subgraph that do not contain v:
-        # refine {N(v), non-neighbors} by every outside splitter until stable
+        # refine {N(v), non-neighbors} from a worklist of splitters.  A
+        # splitter tests only the parts holding its neighbors; a part that
+        # splits queues its vertices again, as each now lies outside its sibling
+        live = mask & ~(1 << v)
         av = adj[v] & mask
-        parts = [p for p in (av, mask & ~av & ~(1 << v)) if p]
-        changed = True
-        while changed:
-            changed = False
-            for z in _bits(mask):
-                az = adj[z]
-                zb = 1 << z
-                nxt = []
-                for part in parts:
-                    if part & zb:
-                        nxt.append(part)
-                        continue
-                    inter = part & az
-                    if inter and inter != part:
-                        nxt.append(inter)
-                        nxt.append(part & ~az)
-                        changed = True
-                    else:
-                        nxt.append(part)
-                parts = nxt
+        parts = [p for p in (av, live & ~av) if p]
+        part_of = [0] * len(adj)
+        for i, part in enumerate(parts):
+            for x in _bits(part):
+                part_of[x] = i
+        todo = live
+        while todo:
+            z = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            az = adj[z]
+            hit = az & live & ~parts[part_of[z]]
+            while hit:
+                i = part_of[(hit & -hit).bit_length() - 1]
+                part = parts[i]
+                hit &= ~part
+                rest = part & ~az
+                if rest:
+                    parts[i] = part & az
+                    for x in _bits(rest):
+                        part_of[x] = len(parts)
+                    parts.append(rest)
+                    todo |= part
         return parts
 
     def min_module_containing(mask: int, seed: int) -> int:
-        # grow the seed set: any outside vertex adjacent to part of it must join
-        w = seed
-        while True:
-            grow = 0
-            rest = mask & ~w
-            if not rest:
-                return w
-            for z in _bits(rest):
-                inter = adj[z] & w
-                if inter and inter != w:
-                    grow |= 1 << z
-            if not grow:
-                return w
-            w |= grow
-            if w == mask:
-                return w
+        # close the seed under splitters: an outside z splits W exactly when
+        # z is in N(w) ^ N(w0) for some w in W, w0 the seed's lowest vertex,
+        # so each absorbed vertex adds its differing vertices once
+        a0 = adj[(seed & -seed).bit_length() - 1]
+        w = frontier = seed
+        while frontier and w != mask:
+            diff = 0
+            while frontier:
+                low = frontier & -frontier
+                diff |= adj[low.bit_length() - 1] ^ a0
+                frontier ^= low
+            frontier = diff & mask & ~w
+            w |= frontier
+        return w
 
     def maximal_proper_modules(mask: int) -> list[int]:
         # connected and co-connected here, so the maximal proper modules

@@ -184,6 +184,20 @@ def all_modules(n: int, edges) -> set[frozenset]:
     return out
 
 
+def maximal_proper_modules(n: int, edges, members) -> set[frozenset]:
+    """Maximal proper modules of the subgraph induced by ``members``, picked
+    from every module of that subgraph."""
+    verts = sorted(members)
+    index = {v: i for i, v in enumerate(verts)}
+    sub = [(index[a], index[b]) for a, b in edges if a in index and b in index]
+    proper = [
+        frozenset(verts[i] for i in mod)
+        for mod in all_modules(len(verts), sub)
+        if len(mod) < len(verts)
+    ]
+    return {mod for mod in proper if not any(mod < other for other in proper)}
+
+
 # -- visit orders (for the unique-order suite) ------------------------------
 
 

@@ -1,7 +1,12 @@
 """Modulator finders and the modular decomposition tree."""
 
+import hashlib
 import random
 from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mesp import (
     Graph,
@@ -21,6 +26,7 @@ from mesp import (
     residual_is_disjoint_paths,
 )
 from mesp.cli import main
+from mesp.generators import gen_cluster_plus_p, gen_subdivided_core, gen_substitution
 
 import oracles
 from smallgraphs import connected_catalog, edges_of
@@ -173,6 +179,22 @@ class TestModularDecomposition:
             _check_tree(g, t)
             assert expand_mdtree(t) == set(g.edges()), (n, edges)
 
+    def test_children_match_oracle_catalog(self, catalog7):
+        for n, edges in catalog7:
+            g = Graph(n, edges)
+            _check_children_oracle(g, modular_decomposition(g))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_children_match_oracle_drawn(self, data):
+        n = data.draw(st.integers(1, 10))
+        rng = random.Random(data.draw(st.integers(0, 10**9)))
+        if data.draw(st.booleans()):
+            g, _ = gen_substitution(n, 6, rng)
+        else:
+            g = random_connected(rng, n, rng.randint(n - 1, n * (n - 1) // 2))
+        _check_children_oracle(g, modular_decomposition(g))
+
     def test_modules_enumerated_match_oracle(self):
         # every child of every node is a module; cross-check the predicate
         # itself against the independent enumeration on a few graphs
@@ -205,6 +227,50 @@ def threshold_graph(n: int) -> Graph:
     """Vertex i joined to every earlier vertex for odd i: a cograph whose
     decomposition tree is about n levels deep."""
     return Graph(n, [(j, i) for i in range(1, n, 2) for j in range(i)])
+
+
+# SHA-256 of mdtree_to_sexpr(modular_decomposition(g)) at benchmark sizes: a
+# change to any tree or to the order of any node's children fails here
+PINNED_TREES = [
+    (
+        "subdivided-core-150",
+        lambda: gen_subdivided_core(10, 12, 150, random.Random(150))[0],
+        "5b874da715b001bb9bb2464d43c8be068fa64aaec272da67cc0077e5759b229a",
+    ),
+    (
+        "subdivided-core-255",
+        lambda: gen_subdivided_core(10, 12, 255, random.Random(255))[0],
+        "e8cd1be42e6492ec271aa3f82964ee3d1b7ede669bf2cdd5a5e62b414864dc40",
+    ),
+    (
+        "substitution-200",
+        lambda: gen_substitution(200, 6, random.Random(200))[0],
+        "5e7a96bd845eaef238378a5730a3253f5baa048be094b17de3e3c09fc0058264",
+    ),
+    (
+        "substitution-300",
+        lambda: gen_substitution(300, 6, random.Random(300))[0],
+        "1fcedb13542c600ba298a3cdc14c587f36c1cbdd5fe303fe662d3db6df733b7c",
+    ),
+    (
+        "cluster-plus-p-120-4",
+        lambda: gen_cluster_plus_p(120, 4, random.Random(120))[0],
+        "d8f1774391fdf75d810992e6351378b375d25695cd6f5fe770002af6aae680d8",
+    ),
+    (
+        "threshold-600",
+        lambda: threshold_graph(600),
+        "7b6b1251ef7aa39ebdd1f7bf908cefc504837bdf54d61e6c9bd3b594fccdc540",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, digest", [t[1:] for t in PINNED_TREES], ids=[t[0] for t in PINNED_TREES]
+)
+def test_pinned_tree(build, digest):
+    sexpr = mdtree_to_sexpr(modular_decomposition(build()))
+    assert hashlib.sha256(sexpr.encode()).hexdigest() == digest
 
 
 class TestDeepTree:
@@ -250,6 +316,29 @@ def _check_tree(g: Graph, node: MDNode) -> None:
         assert p is not None and p.n == len(node.children) >= 3
         assert 0 < p.m < p.n * (p.n - 1) // 2
     assert inside.bit_count() == sum(mk.bit_count() for mk in masks)
+
+
+def _check_children_oracle(g: Graph, root: MDNode) -> None:
+    """Children of every node against independent enumerations: the
+    components, the co-components, or the maximal proper modules of the
+    node's vertex set.  A split into modules that are too fine fails here."""
+    edges = list(g.edges())
+    non_edges = [e for e in combinations(range(g.n), 2) if not g.has_edge(*e)]
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        if node.kind == "leaf":
+            continue
+        members = set(node.vertices())
+        if node.kind == "union":
+            want = {frozenset(c) for c in oracles.components(g.n, edges, members)}
+        elif node.kind == "join":
+            want = {frozenset(c) for c in oracles.components(g.n, non_edges, members)}
+        else:
+            want = oracles.maximal_proper_modules(g.n, edges, members)
+        got = {frozenset(ch.vertices()) for ch in node.children}
+        assert got == want, (node.kind, mdtree_to_sexpr(node))
 
 
 def _mask_verts(mask: int):
