@@ -17,6 +17,7 @@ import sys
 import time
 import traceback
 from dataclasses import asdict, dataclass
+from itertools import compress
 
 from .errors import CapacityError, GraphFormatError, MespError
 from .generators import (
@@ -62,9 +63,16 @@ class RunReport:
 
 
 def graph_digest(graph: Graph) -> str:
-    """Digest of the normalized edge list, independent of input format."""
-    blob = f"{graph.n}\n" + "".join(f"{a} {b}\n" for a, b in graph.edges())
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    r"""Digest of ``"n\n"`` and the sorted ``"u v\n"`` edge lines, u < v,
+    independent of input format.  Row u's binary digits above bit u, lowest
+    first, pick the names ``"v\n"`` to join after ``"u "``."""
+    names = [f"{v}\n" for v in range(graph.n)]
+    rows = [f"{graph.n}\n"]
+    to_flags = bytes.maketrans(b"01", b"\0\1")
+    for u, mk in enumerate(graph.adj_mask):
+        flags = bin(mk >> u + 1)[:1:-1].encode().translate(to_flags)
+        rows.append(f"{u} ".join(["", *compress(names[u + 1:u + 1 + len(flags)], flags)]))
+    return hashlib.sha256("".join(rows).encode()).hexdigest()[:16]
 
 
 def cmd_solve(args) -> int:

@@ -9,7 +9,11 @@ means vertex ``v`` is in the set).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DisconnectedGraphError, GraphFormatError
@@ -64,52 +68,62 @@ class Graph:
     endpoints and ``DisconnectedGraphError`` if the graph is not connected.
     """
 
-    __slots__ = ("n", "m", "adjacency", "adj_mask")
-
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        pairs = list(edges)
+        try:
+            us, vs = zip(*pairs, strict=True) if pairs else ((), ())
+        except (TypeError, ValueError):
+            bad = next(e for e in pairs if not hasattr(e, "__len__") or len(e) != 2)
+            raise GraphFormatError(f"edge {bad!r} is not a pair") from None
+        if not all(map(isinstance, us + vs, repeat(int))):
+            bad = next(e for e in pairs if not (isinstance(e[0], int) and isinstance(e[1], int)))
+            raise GraphFormatError(f"edge {bad!r} has non-integer endpoints")
+        self._build(n, us, vs)
+
+    def _build(self, n: int, us: Sequence[int], vs: Sequence[int]) -> Graph:
+        """Check the int edges (us[i], vs[i]) in bulk and build the masks; an
+        offending edge is looked up only for the message.  Every graph is built here."""
         if not isinstance(n, int) or n <= 0:
             raise GraphFormatError(f"vertex count must be a positive int, got {n!r}")
+        if us and (min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n):
+            bad = next(e for e in zip(us, vs) if not (0 <= e[0] < n and 0 <= e[1] < n))
+            raise GraphFormatError(f"edge {bad!r} out of range for n={n}")
+        if any(map(eq, us, vs)):
+            raise GraphFormatError(f"loop at vertex {next(u for u, v in zip(us, vs) if u == v)}")
+        bit = [1 << v for v in range(n)]
         masks = [0] * n
-        m = 0
-        for e in edges:
-            try:
-                u, v = e
-            except (TypeError, ValueError):
-                raise GraphFormatError(f"edge {e!r} is not a pair") from None
-            if not (isinstance(u, int) and isinstance(v, int)):
-                raise GraphFormatError(f"edge {e!r} has non-integer endpoints")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"edge {e!r} out of range for n={n}")
-            if u == v:
-                raise GraphFormatError(f"loop at vertex {u}")
-            if masks[u] >> v & 1:
-                raise GraphFormatError(f"duplicate edge {u}-{v}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-            m += 1
+        for u, v in zip(us, vs):
+            masks[u] |= bit[v]
+            masks[v] |= bit[u]
+        if sum(map(int.bit_count, masks)) != 2 * len(us):
+            dup = next(e for e, c in Counter(map(frozenset, zip(us, vs))).items() if c > 1)
+            raise GraphFormatError("duplicate edge {}-{}".format(*sorted(dup)))
         self.n = n
-        self.m = m
+        self.m = len(us)
         self.adj_mask = masks
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(_bits(mk)) for mk in masks
-        )
         if len(components(masks, (1 << n) - 1)) > 1:
-            raise DisconnectedGraphError(f"graph is disconnected ({n} vertices, {m} edges)")
+            raise DisconnectedGraphError(f"graph is disconnected ({n} vertices, {self.m} edges)")
+        return self
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor tuples, built on first use: only shortest-path
+        enumeration and small patterns read them."""
+        return tuple(tuple(_bits(mk)) for mk in self.adj_mask)
 
     # -- small conveniences ------------------------------------------------
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.adj_mask[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj_mask[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            for v in self.adjacency[u]:
-                if v > u:
-                    yield (u, v)
+        for u, mk in enumerate(self.adj_mask):
+            for v in _bits(mk >> u + 1 << u + 1):
+                yield (u, v)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
@@ -126,51 +140,43 @@ def parse_graph(text: str) -> Graph:
     ``u v`` with 0-based endpoints; lines starting with ``#`` are comments.
     DIMACS format: ``c`` comment lines, one ``p edge n m`` line, then ``m``
     lines ``e u v`` with 1-based endpoints (converted on input).
+    Lines are split once and checked in bulk, as in ``Graph._build``.
     """
-    lines = []
-    dimacs = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tok = line.split()
-        if dimacs is None:
-            dimacs = tok[0] in ("c", "p")
-        if dimacs and tok[0] == "c":
-            continue
-        lines.append(tok)
+    lines = list(filter(None, map(str.split, text.splitlines())))
+    if "#" in text:
+        lines = [tok for tok in lines if tok[0][0] != "#"]
+    dimacs = bool(lines) and lines[0][0] in ("c", "p")
+    if dimacs:
+        lines = [tok for tok in lines if tok[0] != "c"]
     if not lines:
         raise GraphFormatError("empty graph input")
 
+    head, body = lines[0], lines[1:]
     if dimacs:
-        head = lines[0]
         if len(head) != 4 or head[0] != "p" or head[1] != "edge":
             raise GraphFormatError(f"bad DIMACS header: {' '.join(head)!r}")
         n, m = _parse_int(head[2]), _parse_int(head[3])
-        body = lines[1:]
-        offset = 1
-        tag = "e"
     else:
-        head = lines[0]
         if len(head) != 2:
             raise GraphFormatError(f"bad header line: {' '.join(head)!r}")
         n, m = _parse_int(head[0]), _parse_int(head[1])
-        body = lines[1:]
-        offset = 0
-        tag = None
 
-    edges = []
-    for tok in body:
-        if tag is not None:
-            if tok[0] != tag:
-                raise GraphFormatError(f"unexpected line: {' '.join(tok)!r}")
-            tok = tok[1:]
-        if len(tok) != 2:
-            raise GraphFormatError(f"bad edge line: {' '.join(tok)!r}")
-        edges.append((_parse_int(tok[0]) - offset, _parse_int(tok[1]) - offset))
-    if len(edges) != m:
-        raise GraphFormatError(f"header announces {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    width = 2 + dimacs
+    tokens = list(chain.from_iterable(body))
+    if not set(map(len, body)) <= {width} or dimacs and not set(tokens[::3]) <= {"e"}:
+        bad = next(tok for tok in body if len(tok) != width or dimacs and tok[0] != "e")
+        raise GraphFormatError(f"bad edge line: {' '.join(bad)!r}")
+    if dimacs:
+        del tokens[::3]
+    try:
+        ends = list(map(int, tokens))
+    except ValueError:
+        ends = [_parse_int(t) for t in tokens]  # raises at the first bad token
+    if len(body) != m:
+        raise GraphFormatError(f"header announces {m} edges, found {len(body)}")
+    if dimacs:
+        ends = [x - 1 for x in ends]
+    return Graph.__new__(Graph)._build(n, ends[::2], ends[1::2])
 
 
 def _parse_int(s: str) -> int:

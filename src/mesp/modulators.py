@@ -307,32 +307,32 @@ def modular_decomposition(graph: Graph) -> MDNode:
 
     def maximal_proper_modules(mask: int) -> list[int]:
         # connected and co-connected here, so the maximal proper modules
-        # partition the vertex set and the quotient is prime
+        # partition the vertex set and the quotient is prime.  v0's maximal
+        # proper module M0 is strong, so each class (a module) lies inside M0,
+        # and closing v0's part with it stays there, or is disjoint from M0,
+        # and the closure reaches the whole prime node: M0 is absorbed exactly
         v0 = (mask & -mask).bit_length() - 1
-        v0b = 1 << v0
-        part_of_v0 = v0b
-        rest = mask & ~v0b
-        while rest & ~part_of_v0:
-            u = (rest & ~part_of_v0) & -(rest & ~part_of_v0)
-            grown = min_module_containing(mask, part_of_v0 | u)
-            if grown != mask:
-                part_of_v0 = grown  # still inside the same maximal proper module
-            rest &= ~u
-        parts = [part_of_v0]
-        for cls in modules_avoiding(mask, v0):
-            if cls & part_of_v0 == 0:
-                parts.append(cls)
+        classes = modules_avoiding(mask, v0)
+        part_of_v0 = 1 << v0
+        for cls in classes:
+            if cls & ~part_of_v0:
+                grown = min_module_containing(mask, part_of_v0 | cls)
+                if grown != mask:
+                    part_of_v0 = grown
+        parts = [part_of_v0] + [cls for cls in classes if cls & part_of_v0 == 0]
         got = 0
         for part in parts:
             if got & part:
                 raise MespError("modular decomposition produced overlapping parts")
             got |= part
-        if got != mask:
-            raise MespError("modular decomposition lost vertices")
+        if got != mask or len(parts) < 2:
+            raise MespError("modular decomposition lost vertices or split nothing")
+        # a part is a module iff its vertices all see the same outside
         for part in parts:
-            for z in _bits(mask & ~part):
-                inter = adj[z] & part
-                if inter and inter != part:
+            a0 = adj[(part & -part).bit_length() - 1]
+            outside = mask & ~part
+            for w in _bits(part & (part - 1)):
+                if (adj[w] ^ a0) & outside:
                     raise MespError("modular decomposition produced a non-module part")
         return parts
 

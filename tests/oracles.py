@@ -1,14 +1,43 @@
 """Independent reference implementations used to derive expected values.
 
-Nothing here imports the package under test: distances, path enumeration,
-modulator minimality and module detection are all recomputed from scratch on
-plain adjacency lists, so agreement is meaningful.
+Nothing here imports the package under test: input parsing, distances, path
+enumeration, modulator minimality and module detection are all recomputed
+from scratch on plain adjacency lists, so agreement is meaningful.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import combinations, product
+
+
+def read_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Read well-formed edge-list or DIMACS text one line at a time.
+
+    Returns n and the edges as written, 0-based.  Blank and ``#`` lines are
+    skipped, and so are ``c`` lines in DIMACS, which is recognized by its
+    first significant line.
+    """
+    n = None
+    dimacs = False
+    edges = []
+    for line in text.splitlines():
+        words = line.split()
+        if not words or words[0].startswith("#") or (dimacs and words[0] == "c"):
+            continue
+        if n is None:
+            if words[0] in ("c", "p"):
+                dimacs = True
+                if words[0] == "c":
+                    continue
+                n = int(words[2])
+            else:
+                n = int(words[0])
+        elif dimacs:
+            edges.append((int(words[1]) - 1, int(words[2]) - 1))
+        else:
+            edges.append((int(words[0]), int(words[1])))
+    return n, edges
 
 
 def adjacency(n: int, edges) -> list[set[int]]:

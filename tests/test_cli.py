@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, reports, verify, bench tables."""
 
 import csv
+import hashlib
 import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mesp import Graph
 from mesp.cli import graph_digest, main
 from mesp.generators import gen_substitution
 
@@ -62,6 +66,21 @@ class TestSolve:
 
     def test_digest_pinned(self):
         assert graph_digest(gen_substitution(60, 6, random.Random(7))[0]) == "f93bbf468f6fddfa"
+
+    @pytest.mark.parametrize("low, high", [(2, 12), (97, 103), (997, 1003)])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_digest_bytes(self, low, high, data):
+        # n around 10, 100 and 1000, so vertex names change digit length
+        n = data.draw(st.integers(low, high))
+        rng = random.Random(data.draw(st.integers(0, 10**9)))
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        for _ in range(rng.randrange(2 * n)):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        written = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        blob = f"{n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges))
+        assert graph_digest(Graph(n, written)) == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def test_every_solver_agrees(self, c6_file):
         for solver in ("auto", "brute", "mw", "cluster", "paths"):

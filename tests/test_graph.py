@@ -50,6 +50,32 @@ def random_connected(rng, n, m):
     return gen_random_connected(n, m, rng)
 
 
+@st.composite
+def written_graphs(draw):
+    """Text of a random connected graph with n <= 40, as an edge list with
+    blank lines, ``#`` comments, extra spaces and tabs, or as DIMACS with
+    ``c`` lines; edges in random order and orientation."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(n - 1, n * (n - 1) // 2))
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    dimacs = draw(st.booleans())
+    edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in random_connected(rng, n, m).edges()]
+    rng.shuffle(edges)
+    if dimacs:
+        rows = [["p", "edge", n, m]] + [["e", u + 1, v + 1] for u, v in edges]
+    else:
+        rows = [[n, m]] + [[u, v] for u, v in edges]
+    pad = ("", " ", "  ", "\t", " \t")
+    out = []
+    for row in rows:
+        while rng.random() < 0.2:
+            junk = rng.choice(["", "c 1 2" if dimacs else "# 1 2", "c" if dimacs else "#"])
+            out.append(rng.choice(pad) + junk)
+        sep = rng.choice([" ", "  ", "\t", " \t "])
+        out.append(rng.choice(pad) + sep.join(map(str, row)) + rng.choice(pad))
+    return rng.choice(["\n", "\r\n"]).join(out) + rng.choice(["", "\n"])
+
+
 class TestConstruction:
     def test_k2(self):
         g = Graph(2, [(0, 1)])
@@ -321,6 +347,54 @@ class TestParsing:
     def test_non_integer(self):
         with pytest.raises(GraphFormatError):
             parse_graph("2 1\n0 x\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(written_graphs())
+    def test_matches_line_reader(self, text):
+        n, edges = oracles.read_graph(text)
+        g = parse_graph(text)
+        adj = oracles.adjacency(n, edges)
+        assert (g.n, g.m) == (n, len(edges))
+        assert g.adj_mask == [sum(1 << w for w in adj[v]) for v in range(n)]
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("p graph 3 2\ne 1 2\ne 2 3\n", GraphFormatError),
+            ("p edge 3 2\ne 1 2\nx 2 3\n", GraphFormatError),
+            ("p edge 3 2\ne 1 2\ne 2 3 1\n", GraphFormatError),
+            ("3 2\n0 1 2\n1 2\n", GraphFormatError),
+            ("3 2\n0 1 2\n1\n", GraphFormatError),
+            ("0 0\n", GraphFormatError),
+            ("2 2\n0 0\n0 1\n", GraphFormatError),
+            ("3 3\n0 1\n1 2\n0 1\n", GraphFormatError),
+            ("3 3\n0 1\n1 2\n1 0\n", GraphFormatError),
+            ("2 1\n0 2\n", GraphFormatError),
+            ("3 2\n0 1\n-1 2\n", GraphFormatError),
+            ("p edge 3 2\ne 0 1\ne 1 2\n", GraphFormatError),
+            ("4 2\n0 1\n2 3\n", DisconnectedGraphError),
+        ],
+        ids=[
+            "bad-dimacs-header", "non-e-dimacs-line", "dimacs-three-endpoints", "three-tokens",
+            "misaligned", "n-not-positive", "loop", "duplicate", "reversed-duplicate",
+            "out-of-range", "negative", "dimacs-vertex-0", "disconnected",
+        ],
+    )
+    def test_malformed(self, text, error):
+        # with test_bad_header, test_count_mismatch, test_empty and
+        # test_non_integer, one case per malformed-input class
+        with pytest.raises(error):
+            parse_graph(text)
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [(0, []), ("3", [(0, 1), (1, 2)]), (3, [(0, 1, 2)]), (3, [(0,)]), (3, [5]),
+         (2, [("0", "1")]), (2, [(0.0, 1)])],
+        ids=["n-zero", "n-str", "triple", "single", "int-edge", "str-ends", "float-end"],
+    )
+    def test_malformed_constructor_input(self, n, edges):
+        with pytest.raises(GraphFormatError):
+            Graph(n, edges)
 
 
 class TestComponents:
