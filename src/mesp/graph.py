@@ -242,16 +242,16 @@ class DistanceMatrix:
         return self._ecc[v]
 
     def coverage_masks(self, k: int) -> list[int]:
-        """mask[v] = bitmask of vertices within distance k of v (cached per k)."""
+        """mask[v] = bitmask of vertices within distance k of v (cached per k),
+        read by ``int`` from row v spelled in base 2, vertex 0 last."""
         got = self._cover.get(k)
         if got is None:
-            got = []
-            for row in self.rows:
-                mk = 0
-                for u in range(self.n):
-                    if row[u] <= k:
-                        mk |= 1 << u
-                got.append(mk)
+            if max(self._ecc) < 256:  # bytes(row) rejects entries of 256 or more
+                digits = bytes(49 if d <= k else 48 for d in range(256))  # b"1" / b"0"
+                got = [int(bytes(row).translate(digits)[::-1], 2) for row in self.rows]
+            else:
+                spell = ["1" if d <= k else "0" for d in range(max(self._ecc) + 1)]
+                got = [int("".join(map(spell.__getitem__, reversed(row))), 2) for row in self.rows]
             self._cover[k] = got
         return got
 

@@ -45,6 +45,8 @@ from .modulators import (
 SOLVE_BUDGET = 1e18
 # largest modulator the automatic choice searches for
 MODULATOR_CAP = 6
+# paths of auto's over-budget brute force; about a second on dense graphs
+BRUTE_PATH_CAP = 1 << 18
 # solver names accepted by decide and minimize_k
 SOLVER_NAMES = ("auto", "brute", "mw", "cluster", "paths")
 
@@ -124,30 +126,37 @@ def path_graph_order(graph: Graph) -> tuple[int, ...] | None:
     return tuple(order)
 
 
-def _central_vertex(query: MespQuery) -> int | None:
-    """Smallest vertex whose eccentricity is already within k, if any.
+def _settled(query: MespQuery, stats: SolveStats, t0: float) -> MespAnswer | None:
+    """The answer when k = 0 or k is at least the radius, else None.
 
-    A single vertex is a shortest path, so such a vertex settles the decision
-    by itself; this skips the guess machinery for every k at or above the
-    radius (dense graphs in particular).
+    k = 0 is exactly "is G a path graph".  A single vertex is a shortest
+    path, so the smallest vertex of eccentricity at most k settles the
+    decision by itself; this skips the guess machinery for every k at or
+    above the radius (dense graphs in particular).
     """
-    for v in range(query.graph.n):
-        if query.dist.eccentricity(v) <= query.k:
-            return v
-    return None
+    if query.k == 0:
+        order = path_graph_order(query.graph)
+        return _finish_no(stats, t0) if order is None else _finish_yes(query, order, stats, t0)
+    ecc = query.dist.eccentricity
+    center = next((v for v in range(query.graph.n) if ecc(v) <= query.k), None)
+    return None if center is None else _finish_yes(query, (center,), stats, t0)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive enumeration (doubles as the universal oracle)
 
 
-def solve_bruteforce(query: MespQuery, time_limit: float | None = None) -> MespAnswer:
+def solve_bruteforce(
+    query: MespQuery, time_limit: float | None = None, path_cap: int | None = None
+) -> MespAnswer:
     """Check every shortest path, returning the first one (in canonical
     enumeration order) whose k-neighborhoods cover the whole graph.
 
     The per-path work is O(1) amortized: the DFS that enumerates paths pushes
     and pops one vertex at a time, and a stack of covered-vertex masks is
-    maintained alongside it.
+    maintained alongside it.  The optional limits are checked every 4096
+    paths: having checked ``path_cap`` paths, or having run longer than
+    ``time_limit`` seconds, raises CapacityError.
     """
     t0 = time.perf_counter()
     stats = SolveStats(solver="brute")
@@ -156,6 +165,7 @@ def solve_bruteforce(query: MespQuery, time_limit: float | None = None) -> MespA
     cover = dist.coverage_masks(k)
     path: list[int] = []
     masks = [0]
+    limited = time_limit is not None or path_cap is not None
     for pushed, v in _iter_path_events(graph, dist):
         if pushed:
             path.append(v)
@@ -164,12 +174,11 @@ def solve_bruteforce(query: MespQuery, time_limit: float | None = None) -> MespA
             stats.paths_checked += 1
             if got == full:
                 return _finish_yes(query, path, stats, t0)
-            if (
-                time_limit is not None
-                and stats.paths_checked % 4096 == 0
-                and time.perf_counter() - t0 > time_limit
-            ):
-                raise CapacityError(f"enumeration exceeded time limit {time_limit}s")
+            if limited and stats.paths_checked % 4096 == 0:
+                if path_cap is not None and stats.paths_checked >= path_cap:
+                    raise CapacityError(f"enumeration reached path cap {path_cap}")
+                if time_limit is not None and time.perf_counter() - t0 > time_limit:
+                    raise CapacityError(f"enumeration exceeded time limit {time_limit}s")
         else:
             path.pop()
             masks.pop()
@@ -536,14 +545,9 @@ def solve_distance_to_cluster(query: MespQuery, modulator: Modulator | None = No
     if not modulator_is_valid(graph, modulator):
         raise ValueError("deletion set does not leave a disjoint union of cliques")
     stats.params["p"] = modulator.size
-    if query.k == 0:
-        order = path_graph_order(graph)
-        if order is None:
-            return _finish_no(stats, t0)
-        return _finish_yes(query, order, stats, t0)
-    center = _central_vertex(query)
-    if center is not None:
-        return _finish_yes(query, (center,), stats, t0)
+    settled = _settled(query, stats, t0)
+    if settled is not None:
+        return settled
     if not modulator.vertices:
         if graph.n == 1:
             return _finish_yes(query, (0,), stats, t0)
@@ -803,14 +807,9 @@ def solve_distance_to_disjoint_paths(
     if not modulator_is_valid(graph, modulator):
         raise ValueError("deletion set does not leave a disjoint union of paths")
     stats.params["c"] = modulator.size
-    if query.k == 0:
-        order = path_graph_order(graph)
-        if order is None:
-            return _finish_no(stats, t0)
-        return _finish_yes(query, order, stats, t0)
-    center = _central_vertex(query)
-    if center is not None:
-        return _finish_yes(query, (center,), stats, t0)
+    settled = _settled(query, stats, t0)
+    if settled is not None:
+        return settled
     found = _DisjointPathsSearch(query, modulator, stats).run()
     if found is None:
         return _finish_no(stats, t0)
@@ -854,63 +853,62 @@ class Instance:
         return self._modulators[key]
 
 
-def _auto_choice(inst: Instance, k: int) -> tuple[str, dict]:
-    """Estimate each solver's cost from its worst-case bound; returns the
-    cheapest one and the parameters it was priced with.
+def _auto_choice(inst: Instance, k: int) -> tuple[str, dict, int | None]:
+    """The argmin of the four worst-case prices within SOLVE_BUDGET (ties: mw,
+    cluster, paths, brute), the parameters built to price it, and the path
+    cap brute force runs under: BRUTE_PATH_CAP when no price fits, else None.
 
-    Modulators are searched only up to MODULATOR_CAP.  The enumeration cost
-    uses the count of vertices of degree other than 2 as a stand-in for the
-    graph's core size.  Raises a capacity error when every estimate exceeds
-    SOLVE_BUDGET.
+    Brute force is priced first, from n and m; a parameter is built only
+    while its solver's free lower bound beats the best price so far.
     """
-    graph = inst.graph
-    n = graph.n
-    w = modular_width(inst.decomposition)
-    cluster_mod = inst.modulator(CLUSTER, MODULATOR_CAP)
-    paths_mod = inst.modulator(DISJOINT_PATHS, MODULATOR_CAP)
-    branchish = sum(1 for v in range(n) if graph.degree(v) != 2)
+    graph, n = inst.graph, inst.graph.n
+    n3, n4, n6 = float(n) ** 3, float(n) ** 4, float(n) ** 6
+    priced: dict = {}
 
-    n3 = float(n) ** 3
-    options: list[tuple[float, int, str]] = [
-        (2.0 ** min(w, 400) * n3, 0, "mw"),
-        (2.0 ** min(branchish + 1, 400) * n3, 3, "brute"),
-    ]
-    if cluster_mod is not None:
-        p = cluster_mod.size
-        options.append((2.0 ** min(4 * p, 400) * max(p, 1) * float(n) ** 6, 1, "cluster"))
-    if paths_mod is not None:
-        c = paths_mod.size
-        cost = 2.0 ** min(5 * c, 400) * float(max(k, 1)) ** min(c, 60) * max(c, 1)
-        options.append((cost * float(n) ** 4, 2, "paths"))
-    usable = [opt for opt in options if opt[0] <= SOLVE_BUDGET]
-    if not usable:
-        raise CapacityError(
-            f"no solver within budget (mw={w}, p="
-            f"{cluster_mod.size if cluster_mod else '>cap'}, c="
-            f"{paths_mod.size if paths_mod else '>cap'}, core-ish={branchish})"
-        )
-    _, _, pick = min(usable)
-    return pick, {
-        "mw": w,
-        "p": cluster_mod.size if cluster_mod is not None else None,
-        "c": paths_mod.size if paths_mod is not None else None,
-    }
+    def price(name: str) -> float | None:
+        if name == "mw":
+            w = priced["mw"] = modular_width(inst.decomposition)
+            return 2.0 ** min(w, 400) * n3
+        key, kind = ("p", CLUSTER) if name == "cluster" else ("c", DISJOINT_PATHS)
+        mod = inst.modulator(kind, MODULATOR_CAP)
+        size = priced[key] = None if mod is None else mod.size
+        if size is None:
+            return None
+        if name == "cluster":
+            return 2.0 ** min(4 * size, 400) * max(size, 1) * n6
+        return 2.0 ** min(5 * size, 400) * float(max(k, 1)) ** min(size, 60) * max(size, 1) * n4
+
+    # G is connected, so when its complement is too the root is prime with
+    # at least 4 children, and w >= 4
+    full = (1 << n) - 1
+    co_adj = [full ^ (a | 1 << v) for v, a in enumerate(graph.adj_mask)]
+    mw_floor = 16 * n3 if n > 1 and len(components(co_adj, full)) == 1 else n3
+    brute = 2.0 ** min(graph.m - n + 1, 400) * n3
+    # (SOLVE_BUDGET, 4) admits exactly the prices within budget
+    best, pick = ((brute, 3), "brute") if brute <= SOLVE_BUDGET else ((SOLVE_BUDGET, 4), None)
+    for floor, tie, name in sorted([(mw_floor, 0, "mw"), (n6, 1, "cluster"), (n4, 2, "paths")]):
+        if (floor, tie) >= best:
+            break
+        got = price(name)
+        if got is not None and (got, tie) < best:
+            best, pick = (got, tie), name
+    return (pick, priced, None) if pick else ("brute", priced, BRUTE_PATH_CAP)
 
 
 def decide(inst: Instance, k: int, solver: str = "auto") -> MespAnswer:
     """Decide MESP at ``k`` with the solver named ``solver`` (SOLVER_NAMES).
 
     ``auto`` runs the cheapest solver by estimate and reports it as
-    ``auto:<name>`` with every parameter it priced.
+    ``auto:<name>`` with the parameters it built to price it.
     """
     query = MespQuery(inst.graph, inst.dist, k)
     if solver == "auto":
-        pick, priced = _auto_choice(inst, k)
+        pick, priced, path_cap = _auto_choice(inst, k)
         cap = MODULATOR_CAP
     else:
-        pick, priced, cap = solver, None, None
+        pick, priced, cap, path_cap = solver, None, None, None
     if pick == "brute":
-        answer = solve_bruteforce(query)
+        answer = solve_bruteforce(query, path_cap=path_cap)
     elif pick == "mw":
         answer = solve_modular_width(query, inst.decomposition)
     elif pick == "cluster":
@@ -933,13 +931,15 @@ def solve_auto(query: MespQuery) -> MespAnswer:
 def minimize_k(inst: Instance, solver: str = "auto") -> tuple[int, PathWitness]:
     """Smallest k answered yes, with a witness for it.
 
-    Binary search over [0, ecc(v0)] is sound because a witness for k is a
-    witness for k + 1, and the single-vertex path (v0) always witnesses
-    ecc(v0).  Every probe shares ``inst``, so each structural parameter is
-    built at most once.
+    Binary search over [0, radius] is sound because a witness for k is a
+    witness for k + 1, and the single-vertex path (c) witnesses the radius,
+    c the central vertex (the smallest vertex of least eccentricity).  Every
+    probe shares ``inst``, so each structural parameter is built at most
+    once.
     """
-    lo, hi = 0, inst.dist.eccentricity(0)
-    best = PathWitness((0,))
+    center = min(range(inst.graph.n), key=inst.dist.eccentricity)
+    lo, hi = 0, inst.dist.eccentricity(center)
+    best = PathWitness((center,))
     while lo < hi:
         mid = (lo + hi) // 2
         answer = decide(inst, mid, solver)

@@ -207,7 +207,7 @@ class TestBench:
 
 class TestFailures:
     def test_crash_is_not_a_no(self, c6_file, capsys, monkeypatch):
-        def crash(query, time_limit=None):
+        def crash(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")
 
         monkeypatch.setattr("mesp.solvers.solve_bruteforce", crash)

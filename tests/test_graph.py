@@ -160,6 +160,13 @@ class TestDistances:
         rows = oracles.distance_rows(g.n, g.edges())
         assert_matches_oracle(g, all_pairs_distances(g), rows, range(1, 4))
 
+    def test_distances_past_a_byte_match_oracle(self):
+        # diameter 299: rows no longer fit in bytes, around k = 255 and at
+        # the diameter itself
+        g = path(300)
+        rows = oracles.distance_rows(g.n, g.edges())
+        assert_matches_oracle(g, all_pairs_distances(g), rows, (0, 1, 254, 255, 256, 299))
+
 
 def assert_matches_oracle(g, dist, rows, ks=None):
     """Rows, eccentricities and coverage masks for each k in ``ks`` (every k

@@ -43,6 +43,16 @@ THETA = Graph(8, [(0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 1), (0, 6), (6, 7)
 C5_SUB_K2 = Graph(6, [(0, 5), (0, 1), (5, 1), (0, 4), (5, 4), (1, 2), (2, 3), (3, 4)])
 
 
+def _grid(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, edges)
+
+
+# far more than 4096 shortest paths, and no eccentricity-0 path among them
+GRID_6X6 = _grid(6, 6)
+
+
 def q(graph: Graph, k: int) -> MespQuery:
     return MespQuery.from_graph(graph, k)
 
@@ -76,20 +86,16 @@ class TestBruteforce:
                 assert got == oracles.mesp_decision(n, edges, k), (n, edges, k)
 
     def test_time_limit(self):
-        # a 6x6 grid has far more than 4096 shortest-path prefixes
-        def vid(r, c):
-            return 6 * r + c
-
-        edges = []
-        for r in range(6):
-            for c in range(6):
-                if c + 1 < 6:
-                    edges.append((vid(r, c), vid(r, c + 1)))
-                if r + 1 < 6:
-                    edges.append((vid(r, c), vid(r + 1, c)))
-        grid = Graph(36, edges)
         with pytest.raises(CapacityError):
-            solve_bruteforce(q(grid, 0), time_limit=0.0)
+            solve_bruteforce(q(GRID_6X6, 0), time_limit=0.0)
+
+    def test_path_cap(self):
+        with pytest.raises(CapacityError):
+            solve_bruteforce(q(GRID_6X6, 0), path_cap=4096)
+        # a search that ends below the cap is complete: its "no" stands
+        capped = solve_bruteforce(q(cycle(8), 1), path_cap=4096)
+        assert not capped.decision
+        assert capped.stats.paths_checked == solve_bruteforce(q(cycle(8), 1)).stats.paths_checked
 
 
 class TestModularWidth:
@@ -270,9 +276,16 @@ class TestAuto:
             assert solve_auto(q(g, k)).decision == brute_decision(g, k)
 
     def test_budget_exhausted(self, monkeypatch):
+        # no price within budget: brute force runs under the path cap, and
+        # reaching the cap raises instead of answering "no"
         monkeypatch.setattr("mesp.solvers.SOLVE_BUDGET", 1)
+        monkeypatch.setattr("mesp.solvers.BRUTE_PATH_CAP", 4096)
         with pytest.raises(CapacityError):
-            solve_auto(q(cycle(8), 1))
+            solve_auto(q(GRID_6X6, 0))
+        for k in (1, 2):
+            ans = solve_auto(q(cycle(8), k))
+            assert ans.stats.solver == "auto:brute"
+            assert ans.decision == brute_decision(cycle(8), k)
 
     def test_agrees_with_brute_random(self):
         rng = random.Random(24)
