@@ -6,6 +6,13 @@ dispatch, and two guess-and-cover searches driven by a modulator (to cluster
 graph, to disjoint paths) that reduce connector selection to constrained set
 cover.  Every yes-answer carries a witness path and is re-verified before it
 is returned, so a wrong guess can never produce a wrong answer.
+
+Both guess-and-cover searches share one connector layer: ``_segments`` walks
+the shortest paths between consecutive guessed vertices that avoid the
+modulator, and ``_splice`` puts the chosen interiors back between them.  Only
+non-adjacent pairs get a set-cover group.  Nothing here recurses; the only
+recursion left is the modulator branching in ``modulators.py``, at most as
+deep as its budget.
 """
 
 from __future__ import annotations
@@ -234,6 +241,77 @@ def solve_modular_width(query: MespQuery, tree: MDNode | None = None) -> MespAns
 
 
 # ---------------------------------------------------------------------------
+# connector layer shared by the guess-and-cover searches
+
+
+def _segments(adj, rows, a, b, avoid: int) -> list[tuple[int, ...]]:
+    """Interiors of the shortest a-b paths whose interior avoids the mask
+    ``avoid``, in DFS order from a with neighbours ascending: ``[()]`` when a
+    and b are adjacent, ``[]`` when no such path exists.  The walk keeps an
+    explicit stack, so a long segment costs no recursion."""
+    d = rows[a][b]
+    if d == 1:
+        return [()]
+    row_a, row_b = rows[a], rows[b]
+    out: list[tuple[int, ...]] = []
+    path: list[int] = []
+    stack = [_bits(adj[a] & ~avoid)]
+    while stack:
+        depth = len(stack)
+        for w in stack[-1]:
+            if row_a[w] == depth and row_b[w] == d - depth:
+                if depth == d - 1:
+                    out.append((*path, w))
+                else:
+                    path.append(w)
+                    stack.append(_bits(adj[w] & ~avoid))
+                    break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    return out
+
+
+def _splice(adj, pi, interiors) -> tuple[int, ...]:
+    """pi with the next of ``interiors`` put between each consecutive pair
+    that is not adjacent (the pairs that get a set-cover group)."""
+    chosen = iter(interiors)
+    path = [pi[0]]
+    for a, b in zip(pi, pi[1:]):
+        if not adj[a] >> b & 1:
+            path.extend(next(chosen))
+        path.append(b)
+    return tuple(path)
+
+
+def _solve_with_modulator(query: MespQuery, modulator: Modulator | None, search) -> MespAnswer:
+    """The modulator solvers' scaffold: find or check the modulator, settle
+    k = 0 and k >= radius, then run ``search`` (a search class)."""
+    t0 = time.perf_counter()
+    stats = SolveStats(solver=search.solver)
+    graph = query.graph
+    if modulator is None:
+        find = (
+            minimum_cluster_modulator if search.kind == CLUSTER
+            else minimum_disjoint_paths_modulator
+        )
+        modulator = find(graph)
+    if modulator.kind != search.kind:
+        raise ValueError(f"expected a {search.kind} modulator, got kind {modulator.kind!r}")
+    if not modulator_is_valid(graph, modulator):
+        raise ValueError(f"deletion set does not leave a disjoint union of {search.residual}")
+    stats.params[search.param] = modulator.size
+    settled = _settled(query, stats, t0)
+    if settled is not None:
+        return settled
+    found = search(query, modulator, stats).run()
+    if found is None:
+        return _finish_no(stats, t0)
+    return _finish_yes(query, found, stats, t0)
+
+
+# ---------------------------------------------------------------------------
 # distance to cluster graph
 
 
@@ -248,6 +326,8 @@ class _ClusterSearch:
     and failed guesses retry with up to two extra path vertices at each end.
     """
 
+    solver, kind, param, residual = "cluster", CLUSTER, "p", "cliques"
+
     def __init__(self, query: MespQuery, modulator: Modulator, stats: SolveStats):
         self.graph = query.graph
         self.dist = query.dist
@@ -259,7 +339,8 @@ class _ClusterSearch:
         self.adj = query.graph.adj_mask
         self.cover_k = query.dist.coverage_masks(query.k)
         self.U = sorted(modulator.vertices)
-        self.vc_mask = self.full & ~_mask_of(self.U)
+        self.u_mask = _mask_of(self.U)
+        self.vc_mask = self.full & ~self.u_mask
         # label the residual cliques; vertices of one clique are mutually
         # adjacent, so they are saved by exactly the same path vertices
         self.clique_id = [-1] * self.n
@@ -277,46 +358,25 @@ class _ClusterSearch:
         return None
 
     def _try_l(self, L: tuple[int, ...]) -> tuple[int, ...] | None:
+        adj, rows = self.adj, self.rows
         for s in L:
             pi = unique_order(self.dist, s, L)
             if pi is None:
                 continue
             assert pi[0] == s
-            groups = self._connector_groups(pi)
-            if groups is None:
+            # a shortest interior outside U stays inside one clique, so it
+            # has at most two vertices; a pair at distance > 3 has none
+            groups = [
+                _segments(adj, rows, a, b, self.u_mask)
+                for a, b in zip(pi, pi[1:])
+                if not adj[a] >> b & 1
+            ]
+            if not all(groups):
                 continue
-            found = self._try_order(set(L), pi, *groups)
+            found = self._try_order(set(L), pi, groups)
             if found is not None:
                 return found
         return None
-
-    def _connector_groups(self, pi):
-        """Candidate connector pairs for each non-adjacent consecutive pair
-        of pi, or None when some pair cannot be bridged (distance > 3 or no
-        candidates)."""
-        rows, adj, vc = self.rows, self.adj, self.vc_mask
-        h_pos: list[int] = []
-        cand_lists: list[list[tuple[int, int]]] = []
-        for i in range(len(pi) - 1):
-            a, b = pi[i], pi[i + 1]
-            d_ab = rows[a][b]
-            if d_ab == 1:
-                continue
-            if d_ab == 2:
-                cands = [(u, u) for u in _bits(adj[a] & adj[b] & vc)]
-            elif d_ab == 3:
-                cands = [
-                    (u, v)
-                    for u in _bits(adj[a] & vc)
-                    for v in _bits(adj[u] & adj[b] & vc)
-                ]
-            else:
-                return None
-            if not cands:
-                return None
-            h_pos.append(i)
-            cand_lists.append(cands)
-        return h_pos, cand_lists
 
     def _extension_options(self, pi):
         """Possible path prefixes and suffixes of length 1..2 drawn from the
@@ -346,10 +406,10 @@ class _ClusterSearch:
         ]
         return prefixes, suffixes
 
-    def _try_order(self, l_set, pi, h_pos, cand_lists):
+    def _try_order(self, l_set, pi, groups):
         k = self.k
         rows = self.rows
-        dpi = [min(rows[v][x] for x in pi) for v in range(self.n)]
+        dpi = list(map(min, zip(*(rows[x] for x in pi))))
         others = [u for u in self.U if u not in l_set]
         prefixes, suffixes = self._extension_options(pi)
         if k == 1:
@@ -358,21 +418,16 @@ class _ClusterSearch:
         else:
             assigns = product((0, 1, 2), repeat=len(others))
         for assign in assigns:
-            if k == 2 and any(
-                a == 2 and min(rows[u][x] for x in pi) > 2
-                for u, a in zip(others, assign)
-            ):
+            if k == 2 and any(a == 2 and dpi[u] > 2 for u, a in zip(others, assign)):
                 continue  # a "further" vertex could only be reached through L
             near = [u for u, a in zip(others, assign) if a == 0]
             twostep = [u for u, a in zip(others, assign) if a == 1]
-            found = self._try_assignment(
-                pi, h_pos, cand_lists, dpi, near, twostep, prefixes, suffixes
-            )
+            found = self._try_assignment(pi, groups, dpi, near, twostep, prefixes, suffixes)
             if found is not None:
                 return found
         return None
 
-    def _try_assignment(self, pi, h_pos, cand_lists, dpi, near, twostep, prefixes, suffixes):
+    def _try_assignment(self, pi, groups, dpi, near, twostep, prefixes, suffixes):
         stats = self.stats
         stats.guesses += 1
         k = self.k
@@ -395,7 +450,7 @@ class _ClusterSearch:
             ]
             # the path visits at most one clique per connector pair plus one
             # per extended end, so more needy cliques than that is hopeless
-            if len(needy) > len(h_pos) + 2:
+            if len(needy) > len(groups) + 2:
                 return None
             universe.extend(("clique", ci) for ci in needy)
         r = len(universe)
@@ -403,29 +458,29 @@ class _ClusterSearch:
 
         sat_cache: dict[int, int] = {}
 
-        def sat_of(w: int) -> int:
-            got = sat_cache.get(w)
-            if got is None:
-                got = 0
-                row = rows[w]
-                for bi, (kind, ident) in enumerate(universe):
-                    if kind == "near":
-                        if row[ident] <= 1:
+        def sat_of(verts) -> int:
+            """The requirements met by any of ``verts``."""
+            total = 0
+            for w in verts:
+                got = sat_cache.get(w)
+                if got is None:
+                    got = 0
+                    row = rows[w]
+                    for bi, (kind, ident) in enumerate(universe):
+                        if kind == "near":
+                            if row[ident] <= 1:
+                                got |= 1 << bi
+                        elif kind == "twostep":
+                            if row[ident] <= 2:
+                                got |= 1 << bi
+                        elif clique_id[w] == ident:
                             got |= 1 << bi
-                    elif kind == "twostep":
-                        if row[ident] <= 2:
-                            got |= 1 << bi
-                    elif clique_id[w] == ident:
-                        got |= 1 << bi
-                sat_cache[w] = got
-            return got
+                    sat_cache[w] = got
+                total |= got
+            return total
 
         inst = CscInstance(
-            r,
-            tuple(
-                tuple(Candidate((u, v), sat_of(u) | sat_of(v)) for u, v in cands)
-                for cands in cand_lists
-            ),
+            r, tuple(tuple(Candidate(seg, sat_of(seg)) for seg in segs) for segs in groups)
         )
         stats.csc_calls += 1
         packs = {0: (inst, dp_layers(inst))}
@@ -434,12 +489,7 @@ class _ClusterSearch:
             got = packs.get(banned)
             if got is None:
                 kept = tuple(
-                    tuple(
-                        c
-                        for c in grp
-                        if not banned >> c.payload[0] & 1
-                        and not banned >> c.payload[1] & 1
-                    )
+                    tuple(c for c in grp if not _mask_of(c.payload) & banned)
                     for grp in inst.groups
                 )
                 if any(not grp for grp in kept):
@@ -450,19 +500,6 @@ class _ClusterSearch:
                     got = (sub, dp_layers(sub))
                 packs[banned] = got
             return got
-
-        def splice(pairs):
-            path = [pi[0]]
-            gi = 0
-            for i in range(len(pi) - 1):
-                if gi < len(h_pos) and h_pos[gi] == i:
-                    u, v = pairs[gi]
-                    path.append(u)
-                    if v != u:
-                        path.append(v)
-                    gi += 1
-                path.append(pi[i + 1])
-            return tuple(path)
 
         cover_k = self.cover_k
         core_cache: dict[tuple[int, int], tuple] = {}
@@ -476,7 +513,7 @@ class _ClusterSearch:
                 if sub is not None:
                     sel = reconstruct_selection(sub, layers, target)
                     if sel is not None:
-                        core = splice([c.payload for c in sel.candidates(sub)])
+                        core = _splice(self.adj, pi, [c.payload for c in sel.candidates(sub)])
                         if is_shortest_path(self.graph, self.dist, core):
                             cov = 0
                             vmask = 0
@@ -494,18 +531,8 @@ class _ClusterSearch:
         # retry with up to two extra path vertices at each end; they take
         # over the requirements they satisfy themselves
         full = self.full
-        pre_sat = []
-        for pverts, pvmask, pcov in prefixes:
-            got = 0
-            for w in pverts:
-                got |= sat_of(w)
-            pre_sat.append(got)
-        suf_sat = []
-        for sverts, svmask, scov in suffixes:
-            got = 0
-            for w in sverts:
-                got |= sat_of(w)
-            suf_sat.append(got)
+        pre_sat = [sat_of(pverts) for pverts, _, _ in prefixes]
+        suf_sat = [sat_of(sverts) for sverts, _, _ in suffixes]
         for (pverts, pvmask, pcov), psat in zip(prefixes, pre_sat):
             for (sverts, svmask, scov), ssat in zip(suffixes, suf_sat):
                 if not pverts and not sverts:
@@ -535,27 +562,7 @@ def solve_distance_to_cluster(query: MespQuery, modulator: Modulator | None = No
     With the modulator empty the graph is a single clique; k = 0 reduces to
     "is G a path graph" for every input.
     """
-    t0 = time.perf_counter()
-    stats = SolveStats(solver="cluster")
-    graph = query.graph
-    if modulator is None:
-        modulator = minimum_cluster_modulator(graph)
-    if modulator.kind != CLUSTER:
-        raise ValueError(f"expected a cluster modulator, got kind {modulator.kind!r}")
-    if not modulator_is_valid(graph, modulator):
-        raise ValueError("deletion set does not leave a disjoint union of cliques")
-    stats.params["p"] = modulator.size
-    settled = _settled(query, stats, t0)
-    if settled is not None:
-        return settled
-    if not modulator.vertices:
-        if graph.n == 1:
-            return _finish_yes(query, (0,), stats, t0)
-        return _finish_yes(query, (0, 1), stats, t0)
-    found = _ClusterSearch(query, modulator, stats).run()
-    if found is None:
-        return _finish_no(stats, t0)
-    return _finish_yes(query, found, stats, t0)
+    return _solve_with_modulator(query, modulator, _ClusterSearch)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +578,8 @@ class _DisjointPathsSearch:
     vertices are filtered by the estimate and chosen by a set-cover DP whose
     selection, spliced, is always a witness.
     """
+
+    solver, kind, param, residual = "paths", DISJOINT_PATHS, "c", "paths"
 
     def __init__(self, query: MespQuery, modulator: Modulator, stats: SolveStats):
         self.dist = query.dist
@@ -616,32 +625,6 @@ class _DisjointPathsSearch:
                     return found
         return None
 
-    def _segments(self, a, b, d_ab, chat_mask):
-        """All interiors of shortest a-b paths avoiding the augmented
-        modulator, as vertex tuples (in DFS order, neighbors ascending)."""
-        rows, adj = self.rows, self.adj
-        row_a, row_b = rows[a], rows[b]
-        out: list[tuple[int, ...]] = []
-        path: list[int] = []
-
-        def extend(u, depth):
-            if depth == d_ab - 1:
-                if adj[u] >> b & 1:
-                    out.append(tuple(path))
-                return
-            for w in _bits(adj[u] & ~chat_mask):
-                if row_a[w] == depth + 1 and row_b[w] == d_ab - depth - 1:
-                    path.append(w)
-                    extend(w, depth + 1)
-                    path.pop()
-
-        for w in _bits(adj[a] & ~chat_mask):
-            if row_a[w] == 1 and row_b[w] == d_ab - 1:
-                path.append(w)
-                extend(w, 1)
-                path.pop()
-        return out
-
     def _try_l(self, p_first, p_last, chat, chat_mask, lo_bound, extra):
         rows, k = self.rows, self.k
         l_set = {p_first, p_last} | set(extra)
@@ -650,54 +633,36 @@ class _DisjointPathsSearch:
             return None
         assert pi[0] == p_first
 
+        base_min = list(map(min, zip(*(rows[x] for x in pi))))
+        others = [v for v in chat if v not in l_set]
+        ranges = []
+        for v in others:
+            hi = min(k, base_min[v])
+            if lo_bound[v] > hi:
+                return None
+            ranges.append((lo_bound[v], hi))
+
+        adj = self.adj
         seg_groups: list[list[tuple[tuple[int, ...], int]]] = []
         pair_union: list[int] = []
-        for i in range(len(pi) - 1):
-            a, b = pi[i], pi[i + 1]
-            d_ab = rows[a][b]
-            segs = [()] if d_ab == 1 else self._segments(a, b, d_ab, chat_mask)
+        for a, b in zip(pi, pi[1:]):
+            if adj[a] >> b & 1:
+                continue
+            segs = _segments(adj, rows, a, b, chat_mask)
             if not segs:
                 return None
             seg_groups.append([(seg, _mask_of(seg)) for seg in segs])
             pair_union.append(_mask_of(w for seg in segs for w in seg))
 
-        others = [v for v in chat if v not in l_set]
-        ranges = []
-        for v in others:
-            hi = min(k, min(rows[v][x] for x in pi))
-            if lo_bound[v] > hi:
-                return None
-            ranges.append((lo_bound[v], hi))
-        base_min = [min(rows[v][x] for x in pi) for v in range(self.n)]
-
-        # enumerate delta assignments depth-first, pruning pairs that violate
-        # |delta(u) - delta(v)| <= d(u, v) (true distances to one path obey it)
-        chosen: list[int] = []
-
-        def assign(idx):
-            if idx == len(others):
-                return self._try_delta(
-                    pi, seg_groups, pair_union, others, tuple(chosen), base_min
-                )
-            v = others[idx]
-            row_v = rows[v]
-            lo, hi = ranges[idx]
-            for value in range(lo, hi + 1):
-                ok = True
-                for j in range(idx):
-                    if abs(value - chosen[j]) > row_v[others[j]]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                chosen.append(value)
-                found = assign(idx + 1)
-                chosen.pop()
-                if found is not None:
-                    return found
-            return None
-
-        return assign(0)
+        # true distances to one path obey |delta(u) - delta(v)| <= d(u, v)
+        pairs = [(rows[u][v], i, j) for (i, u), (j, v) in combinations(enumerate(others), 2)]
+        for delta in product(*(range(lo, hi + 1) for lo, hi in ranges)):
+            if any(abs(delta[i] - delta[j]) > d for d, i, j in pairs):
+                continue
+            found = self._try_delta(pi, seg_groups, pair_union, others, delta, base_min)
+            if found is not None:
+                return found
+        return None
 
     def _try_delta(self, pi, seg_groups, pair_union, others, delta, base_min):
         stats = self.stats
@@ -783,11 +748,7 @@ class _DisjointPathsSearch:
         # group's union is reached by every kept segment of that group, and
         # outside all unions it is an off_far requirement; estimate[v] > k+1
         # puts v in nec_mask, on the path.
-        path = [pi[0]]
-        for i, cand in enumerate(sol.candidates(inst)):
-            path.extend(cand.payload)
-            path.append(pi[i + 1])
-        return tuple(path)
+        return _splice(self.adj, pi, [c.payload for c in sol.candidates(inst)])
 
 
 def solve_distance_to_disjoint_paths(
@@ -795,25 +756,7 @@ def solve_distance_to_disjoint_paths(
 ) -> MespAnswer:
     """Decide MESP by guessing endpoints, on-path modulator vertices and
     distance estimates over a disjoint-paths modulator."""
-    t0 = time.perf_counter()
-    stats = SolveStats(solver="paths")
-    graph = query.graph
-    if modulator is None:
-        modulator = minimum_disjoint_paths_modulator(graph)
-    if modulator.kind != DISJOINT_PATHS:
-        raise ValueError(
-            f"expected a disjoint-paths modulator, got kind {modulator.kind!r}"
-        )
-    if not modulator_is_valid(graph, modulator):
-        raise ValueError("deletion set does not leave a disjoint union of paths")
-    stats.params["c"] = modulator.size
-    settled = _settled(query, stats, t0)
-    if settled is not None:
-        return settled
-    found = _DisjointPathsSearch(query, modulator, stats).run()
-    if found is None:
-        return _finish_no(stats, t0)
-    return _finish_yes(query, found, stats, t0)
+    return _solve_with_modulator(query, modulator, _DisjointPathsSearch)
 
 
 # ---------------------------------------------------------------------------

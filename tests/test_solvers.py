@@ -29,6 +29,9 @@ from mesp import (
     solve_modular_width,
 )
 
+from mesp.graph import enumerate_shortest_paths
+from mesp.solvers import _segments, _splice
+
 import oracles
 from test_graph import complete, cycle, path, random_connected, star
 
@@ -239,6 +242,43 @@ def paths_plus_c(rng: random.Random) -> tuple[Graph, int]:
         attached = [first, last] + [rng.randint(first, last) for _ in range(rng.randint(0, 2))]
         edges.update((v, rng.choice(apexes)) for v in attached)
     return Graph(n, sorted(edges)), c
+
+
+class TestConnectorLayer:
+    """The segment walk and splice shared by the guess-and-cover searches."""
+
+    def test_deep_segment_needs_no_recursion(self):
+        n, a, b = 2500, 0, 1200
+        g = cycle(n)
+        rows = {v: [min(abs(v - w), n - abs(v - w)) for w in range(n)] for v in (a, b)}
+        segs = _segments(g.adj_mask, rows, a, b, (1 << a) | (1 << b))
+        assert segs == [tuple(range(1, 1200))]
+
+    def test_segments_match_enumeration(self):
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(60):
+            n = rng.randint(4, 12)
+            g = random_connected(rng, n, rng.randint(n - 1, min(3 * n, n * (n - 1) // 2)))
+            dist = q(g, 0).dist
+            paths = list(enumerate_shortest_paths(g, dist))
+            for _ in range(6):
+                a, b = rng.sample(range(n), 2)
+                avoid = (1 << a) | (1 << b) | rng.getrandbits(n) & rng.getrandbits(n)
+                want = [
+                    p[1:-1]
+                    for p in paths
+                    if p[0] == a and p[-1] == b and not any(avoid >> w & 1 for w in p[1:-1])
+                ]
+                got = _segments(g.adj_mask, dist.rows, a, b, avoid)
+                assert got == want, (list(g.edges()), a, b, avoid)
+                d = dist.rows[a][b]
+                seen.add("adjacent" if d == 1 else "unreachable" if not got else d)
+        assert {"adjacent", "unreachable", 2, 3} <= seen
+
+    def test_splice_fills_only_non_adjacent_pairs(self):
+        g = path(7)
+        assert _splice(g.adj_mask, (0, 1, 4, 6), [(2, 3), (5,)]) == tuple(range(7))
 
 
 class TestAuto:
