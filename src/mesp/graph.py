@@ -9,10 +9,11 @@ means vertex ``v`` is in the set).
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import eq
 from typing import Iterable, Iterator, Sequence
 
@@ -207,7 +208,7 @@ class DistanceMatrix:
     masks are kept.
     """
 
-    __slots__ = ("n", "rows", "_ecc", "_cover")
+    __slots__ = ("n", "rows", "_ecc", "_cover", "_walk")
 
     def __init__(self, graph: Graph):
         n = self.n = graph.n
@@ -234,6 +235,7 @@ class DistanceMatrix:
         self.rows = rows
         self._ecc = ecc
         self._cover: dict[int, list[int]] = {}
+        self._walk: tuple[array, array] | None = None
 
     def d(self, u: int, v: int) -> int:
         return self.rows[u][v]
@@ -254,6 +256,28 @@ class DistanceMatrix:
                 got = [int("".join(map(spell.__getitem__, reversed(row))), 2) for row in self.rows]
             self._cover[k] = got
         return got
+
+    def path_pushes(self, graph: Graph, keep: int) -> Iterator[tuple[int, int]]:
+        """The pushes of ``_iter_path_pushes(graph, self)``.  They do not
+        depend on k, so a walk that ends within ``keep`` pushes is kept as two
+        ``array('i')``, vertices and depths (8 bytes a push), and replayed."""
+        return zip(*self._walk) if self._walk else chain.from_iterable(self._record(graph, keep))
+
+    def _record(self, graph: Graph, keep: int) -> Iterator[Iterable[tuple[int, int]]]:
+        """The live walk in chunks of 1024 pushes, each flattened into an
+        ``array`` in C; past ``keep`` pushes, the rest of the walk unrecorded."""
+        vs, ds = array("i"), array("i")
+        pushes = _iter_path_pushes(graph, self)
+        flat = chain.from_iterable(pushes)
+        while chunk := array("i", islice(flat, 2048)):
+            vs.extend(chunk[::2])
+            ds.extend(chunk[1::2])
+            yield zip(chunk[::2], chunk[1::2])
+            if len(vs) > keep:
+                del vs, ds
+                yield pushes
+                return
+        self._walk = vs, ds
 
 
 def all_pairs_distances(graph: Graph) -> DistanceMatrix:
@@ -278,8 +302,7 @@ def eccentricity_of_set(dist: DistanceMatrix, vertices: Iterable[int]) -> int:
     vs = list(vertices)
     if not vs:
         raise ValueError("eccentricity of an empty set is undefined")
-    rows = dist.rows
-    return max(min(rows[v][s] for s in vs) for v in range(dist.n))
+    return max(map(min, zip(*(dist.rows[s] for s in vs))))
 
 
 def closed_k_neighborhood(dist: DistanceMatrix, v: int, k: int) -> tuple[int, ...]:
@@ -316,12 +339,9 @@ def unique_order(dist: DistanceMatrix, s: int, vertices: Iterable[int]) -> tuple
 # ---------------------------------------------------------------------------
 # shortest-path enumeration
 
-_PUSH = True
-_POP = False
-
-
-def _iter_path_events(graph: Graph, dist: DistanceMatrix) -> Iterator[tuple[bool, int]]:
-    """DFS events of the shortest-path search, as (pushed, vertex) pairs.
+def _iter_path_pushes(graph: Graph, dist: DistanceMatrix) -> Iterator[tuple[int, int]]:
+    """The shortest-path DFS as (vertex, depth) pushes: the current path
+    becomes its first ``depth`` vertices followed by ``vertex``.
 
     From every start vertex ``s`` (ascending) the search extends a current
     path ``p_1 .. p_t`` (with ``p_1 = s``) by any neighbor ``w`` of ``p_t``
@@ -330,22 +350,18 @@ def _iter_path_events(graph: Graph, dist: DistanceMatrix) -> Iterator[tuple[bool
     visited exactly once per direction.
     """
     adjacency = graph.adjacency
-    for s in range(graph.n):
-        drow = dist.rows[s]
-        yield _PUSH, s
+    for s, drow in enumerate(dist.rows):
+        yield s, 0
         stack = [iter(adjacency[s])]
         while stack:
             depth = len(stack)
-            moved = False
             for w in stack[-1]:
                 if drow[w] == depth:
-                    yield _PUSH, w
+                    yield w, depth
                     stack.append(iter(adjacency[w]))
-                    moved = True
                     break
-            if not moved:
+            else:
                 stack.pop()
-                yield _POP, -1
 
 
 def enumerate_shortest_paths(
@@ -358,16 +374,12 @@ def enumerate_shortest_paths(
     the direction with ``first < last`` is yielded (single vertices once).
     Paths appear in DFS preorder per start vertex, starts ascending.
     """
-    if dist is None:
-        dist = all_pairs_distances(graph)
     path: list[int] = []
-    for pushed, v in _iter_path_events(graph, dist):
-        if pushed:
-            path.append(v)
-            if not dedup or len(path) == 1 or path[0] < v:
-                yield tuple(path)
-        else:
-            path.pop()
+    for v, depth in _iter_path_pushes(graph, dist or all_pairs_distances(graph)):
+        del path[depth:]
+        path.append(v)
+        if not dedup or not depth or path[0] < v:
+            yield tuple(path)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .graph import (
     Graph,
     PathWitness,
     _bits,
-    _iter_path_events,
     _mask_of,
     all_pairs_distances,
     components,
@@ -159,36 +158,35 @@ def solve_bruteforce(
     """Check every shortest path, returning the first one (in canonical
     enumeration order) whose k-neighborhoods cover the whole graph.
 
-    The per-path work is O(1) amortized: the DFS that enumerates paths pushes
-    and pops one vertex at a time, and a stack of covered-vertex masks is
-    maintained alongside it.  The optional limits are checked every 4096
-    paths: having checked ``path_cap`` paths, or having run longer than
-    ``time_limit`` seconds, raises CapacityError.
+    Each push (v, d) of the shortest-path walk is one path, checked in O(1)
+    from the covered-vertex mask of its first d vertices.  The walk does not
+    depend on k: ``DistanceMatrix.path_pushes`` records a complete one of at
+    most ``BRUTE_PATH_CAP`` pushes, and later decisions replay it.  The
+    optional limits are checked every 4096 paths: having checked ``path_cap``
+    paths, or having run longer than ``time_limit`` seconds, raises
+    CapacityError.
     """
     t0 = time.perf_counter()
     stats = SolveStats(solver="brute")
     graph, dist, k = query.graph, query.dist, query.k
     full = (1 << graph.n) - 1
     cover = dist.coverage_masks(k)
-    path: list[int] = []
-    masks = [0]
+    path, masks = [0] * graph.n, [0] * (graph.n + 1)  # path[d], cover of path[:d]
     limited = time_limit is not None or path_cap is not None
-    for pushed, v in _iter_path_events(graph, dist):
-        if pushed:
-            path.append(v)
-            got = masks[-1] | cover[v]
-            masks.append(got)
-            stats.paths_checked += 1
-            if got == full:
-                return _finish_yes(query, path, stats, t0)
-            if limited and stats.paths_checked % 4096 == 0:
-                if path_cap is not None and stats.paths_checked >= path_cap:
-                    raise CapacityError(f"enumeration reached path cap {path_cap}")
-                if time_limit is not None and time.perf_counter() - t0 > time_limit:
-                    raise CapacityError(f"enumeration exceeded time limit {time_limit}s")
-        else:
-            path.pop()
-            masks.pop()
+    checked = 0
+    for v, d in dist.path_pushes(graph, BRUTE_PATH_CAP):
+        checked += 1
+        got = masks[d + 1] = masks[d] | cover[v]
+        path[d] = v
+        if got == full:
+            stats.paths_checked = checked
+            return _finish_yes(query, path[:d + 1], stats, t0)
+        if limited and checked % 4096 == 0:
+            if path_cap is not None and checked >= path_cap:
+                raise CapacityError(f"enumeration reached path cap {path_cap}")
+            if time_limit is not None and time.perf_counter() - t0 > time_limit:
+                raise CapacityError(f"enumeration exceeded time limit {time_limit}s")
+    stats.paths_checked = checked
     return _finish_no(stats, t0)
 
 

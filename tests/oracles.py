@@ -89,7 +89,9 @@ def distance_rows(n: int, edges) -> list[list[int]]:
 
 
 def all_shortest_paths(n: int, edges, rows=None) -> list[tuple[int, ...]]:
-    """Every shortest path as a vertex tuple, both directions included."""
+    """Every shortest path as a vertex tuple, both directions included, in
+    canonical order: starts ascending, then DFS preorder with each path
+    extended by its end's neighbours in increasing order."""
     if rows is None:
         rows = distance_rows(n, edges)
     adj = adjacency(n, edges)
@@ -98,7 +100,7 @@ def all_shortest_paths(n: int, edges, rows=None) -> list[tuple[int, ...]]:
 
     def extend(u: int, s: int):
         out.append(tuple(path))
-        for w in adj[u]:
+        for w in sorted(adj[u]):
             if rows[s][w] == rows[s][u] + 1:
                 path.append(w)
                 extend(w, s)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mesp.graph
 from mesp import (
     CLUSTER,
     DISJOINT_PATHS,
@@ -16,6 +17,7 @@ from mesp import (
     MDNode,
     MespQuery,
     Modulator,
+    all_pairs_distances,
     decide,
     minimize_k,
     minimum_cluster_modulator,
@@ -29,6 +31,7 @@ from mesp import (
     solve_modular_width,
 )
 
+from mesp.generators import gen_subdivided_core
 from mesp.graph import enumerate_shortest_paths
 from mesp.solvers import _segments, _splice
 
@@ -99,6 +102,97 @@ class TestBruteforce:
         capped = solve_bruteforce(q(cycle(8), 1), path_cap=4096)
         assert not capped.decision
         assert capped.stats.paths_checked == solve_bruteforce(q(cycle(8), 1)).stats.paths_checked
+
+
+def _count_walks(monkeypatch) -> list[list]:
+    """Wrap the live shortest-path walk; each start appends [dist, finished]."""
+    walks = []
+    walk = mesp.graph._iter_path_pushes
+
+    def counted(graph, dist):
+        entry = [dist, False]
+        walks.append(entry)
+        yield from walk(graph, dist)
+        entry[1] = True
+
+    monkeypatch.setattr(mesp.graph, "_iter_path_pushes", counted)
+    return walks
+
+
+def _replay_graphs():
+    """Seeded subdivided-core, random and paths-plus-c graphs, n = 15-60."""
+    rng = random.Random(31)
+    for n in (15, 33, 60):
+        yield gen_subdivided_core(rng.randint(5, 6), 8, n, rng)[0]
+        yield random_connected(rng, n, n + 5)
+    graphs = (paths_plus_c(random.Random(seed))[0] for seed in range(40))
+    yield from [g for g in graphs if g.n >= 15][:3]
+
+
+def _outcome(answer):
+    return answer.decision, answer.witness, answer.stats.paths_checked
+
+
+class TestRecordedWalk:
+    """Brute force replays the k-independent walk kept on the distance matrix."""
+
+    def test_replay_matches_fresh_walk(self, monkeypatch):
+        walks = _count_walks(monkeypatch)
+        for g in _replay_graphs():
+            kept = all_pairs_distances(g)
+            for k in range(max(map(kept.eccentricity, range(g.n))) + 1):
+                fresh = solve_bruteforce(MespQuery(g, all_pairs_distances(g), k))
+                assert _outcome(solve_bruteforce(MespQuery(g, kept, k))) == _outcome(fresh), (
+                    list(g.edges()), k)
+            # k = 0 is a complete "no"; every later decision replays it
+            assert [done for dist, done in walks if dist is kept] == [True]
+
+    def test_replay_builds_no_adjacency(self):
+        dist = all_pairs_distances(cycle(8))
+        assert not solve_bruteforce(MespQuery(cycle(8), dist, 1)).decision
+        twin = cycle(8)
+        assert solve_bruteforce(MespQuery(twin, dist, 2)).decision
+        assert "adjacency" not in vars(twin)
+
+    def test_caps_hold_on_a_recorded_walk(self, monkeypatch):
+        walks = _count_walks(monkeypatch)
+        dist = all_pairs_distances(GRID_6X6)
+        assert not solve_bruteforce(MespQuery(GRID_6X6, dist, 0)).decision
+        with pytest.raises(CapacityError):
+            solve_bruteforce(MespQuery(GRID_6X6, dist, 0), path_cap=4096)
+        with pytest.raises(CapacityError):
+            solve_bruteforce(MespQuery(GRID_6X6, dist, 0), time_limit=0.0)
+        assert [done for _, done in walks] == [True]
+
+    def test_kept_only_within_the_cap(self, monkeypatch):
+        pushes = sum(1 for _ in enumerate_shortest_paths(GRID_6X6))
+        walks = _count_walks(monkeypatch)
+        for cap, starts in ((pushes, 1), (pushes - 1, 3)):
+            monkeypatch.setattr("mesp.solvers.BRUTE_PATH_CAP", cap)
+            walks.clear()
+            dist = all_pairs_distances(GRID_6X6)
+            for _ in range(3):
+                assert solve_bruteforce(MespQuery(GRID_6X6, dist, 0)).stats.paths_checked == pushes
+            assert len(walks) == starts
+
+    def test_long_walk_not_kept_answers_unchanged(self, monkeypatch):
+        monkeypatch.setattr("mesp.solvers.BRUTE_PATH_CAP", 64)
+        walks = _count_walks(monkeypatch)
+        for g in list(_replay_graphs())[::3]:
+            shared = all_pairs_distances(g)
+            ks = range(max(map(shared.eccentricity, range(g.n))) + 1)
+            for k in ks:
+                fresh = solve_bruteforce(MespQuery(g, all_pairs_distances(g), k))
+                assert _outcome(solve_bruteforce(MespQuery(g, shared, k))) == _outcome(fresh)
+            # every decision on the shared matrix walked live again
+            assert sum(dist is shared for dist, _ in walks) == len(ks)
+
+    def test_minimize_walks_to_completion_once(self, monkeypatch):
+        walks = _count_walks(monkeypatch)
+        g, _ = gen_subdivided_core(10, 12, 60, random.Random(3))
+        k, witness = minimize_k(Instance(g))
+        assert sum(done for _, done in walks) == 1
+        assert witness.eccentricity(all_pairs_distances(g)) == k
 
 
 class TestModularWidth:
@@ -381,6 +475,31 @@ def test_monotone_in_k(data):
         prev = got
         if got:
             break
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_canonical_order_matches_oracle(data):
+    # the exact oracle sequence, not only the same set; brute force stops at
+    # its first path of eccentricity <= k, having checked every path before it
+    n = data.draw(st.integers(1, 12))
+    m = data.draw(st.integers(n - 1, n * (n - 1) // 2))
+    g = random_connected(random.Random(data.draw(st.integers(0, 10**6))), n, m)
+    edges = list(g.edges())
+    want = oracles.all_shortest_paths(n, edges)
+    assert list(enumerate_shortest_paths(g)) == want
+    rows = oracles.distance_rows(n, edges)
+    eccs = [oracles.path_ecc(rows, p) for p in want]
+    dist = all_pairs_distances(g)
+    for k in range(max(map(max, rows)) + 1):
+        got = solve_bruteforce(MespQuery(g, dist, k))
+        first = next((i for i, e in enumerate(eccs) if e <= k), None)
+        if first is None:
+            assert (got.decision, got.stats.paths_checked) == (False, len(want))
+        else:
+            assert got.witness.vertices == want[first]
+            assert got.stats.paths_checked == first + 1
+            assert got.witness.eccentricity(dist) == eccs[first]
 
 
 def test_path_graph_order_helper():
