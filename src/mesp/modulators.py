@@ -15,6 +15,7 @@ are built children first, so no call nests once per tree level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -86,36 +87,57 @@ def modulator_is_valid(graph: Graph, mod: Modulator) -> bool:
 
 def _first_p3(graph: Graph, removed: int) -> tuple[int, int, int] | None:
     """Lexicographically first (a, b, c) with b adjacent to both a and c and
-    a, c non-adjacent, among vertices not yet removed."""
+    a, c non-adjacent, among vertices not yet removed.
+
+    a is the smallest live vertex whose closed live neighbourhood N[a] is
+    not its whole live component.  When no neighbour of a reaches past N[a],
+    N[a] is that component, and every vertex x in it with N[x] = N[a] has no
+    P3 either, so the scan skips them all at once."""
     live = ((1 << graph.n) - 1) & ~removed
     adj = graph.adj_mask
-    for a in _bits(live):
-        for b in _bits(adj[a] & live):
-            cand = adj[b] & live & ~adj[a] & ~(1 << a) & ~(1 << b)
+    todo = live
+    while todo:
+        a = (todo & -todo).bit_length() - 1
+        na = (adj[a] | 1 << a) & live
+        for b in _bits(na):
+            cand = adj[b] & live & ~na
             if cand:
                 return a, b, (cand & -cand).bit_length() - 1
+        for x in _bits(na):
+            if (adj[x] | 1 << x) & live == na:
+                todo &= ~(1 << x)
     return None
 
 
-def _branch_cluster(graph: Graph, removed: int, budget: int) -> int | None:
-    p3 = _first_p3(graph, removed)
+def _branch_cluster(first_p3, removed: int, budget: int) -> int | None:
+    p3 = first_p3(removed)
     if p3 is None:
         return removed
     if budget == 0:
         return None
     for v in p3:
-        got = _branch_cluster(graph, removed | 1 << v, budget - 1)
+        got = _branch_cluster(first_p3, removed | 1 << v, budget - 1)
         if got is not None:
             return got
     return None
 
 
+def _cluster_modulator(graph: Graph, budgets: Iterable[int]) -> Modulator | None:
+    """The deletion set found at the first of ``budgets`` that admits one.
+    All budgets share one memo of ``_first_p3`` by removed mask, so no set
+    is scanned twice, whether a shallower tree or another branch order
+    reached it first."""
+    first_p3 = lru_cache(maxsize=None)(partial(_first_p3, graph))
+    for budget in budgets:
+        got = _branch_cluster(first_p3, 0, budget)
+        if got is not None:
+            return Modulator(CLUSTER, frozenset(_bits(got)))
+    return None
+
+
 def find_cluster_modulator(graph: Graph, budget: int) -> Modulator | None:
     """A deletion set of size <= budget leaving a cluster graph, or None."""
-    got = _branch_cluster(graph, 0, budget)
-    if got is None:
-        return None
-    return Modulator(CLUSTER, frozenset(_bits(got)))
+    return _cluster_modulator(graph, [budget])
 
 
 def minimum_cluster_modulator(graph: Graph, cap: int | None = None) -> Modulator | None:
@@ -124,11 +146,7 @@ def minimum_cluster_modulator(graph: Graph, cap: int | None = None) -> Modulator
     With a cap, gives up (returns None) once the budget would exceed it.
     """
     top = graph.n if cap is None else min(cap, graph.n)
-    for budget in range(top + 1):
-        got = find_cluster_modulator(graph, budget)
-        if got is not None:
-            return got
-    return None
+    return _cluster_modulator(graph, range(top + 1))
 
 
 # ---------------------------------------------------------------------------

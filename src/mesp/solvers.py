@@ -10,16 +10,19 @@ is returned, so a wrong guess can never produce a wrong answer.
 Both guess-and-cover searches share one connector layer: ``_segments`` walks
 the shortest paths between consecutive guessed vertices that avoid the
 modulator, and ``_splice`` puts the chosen interiors back between them.  Only
-non-adjacent pairs get a set-cover group.  Nothing here recurses; the only
-recursion left is the modulator branching in ``modulators.py``, at most as
-deep as its budget.
+non-adjacent pairs get a set-cover group.  Before either search spends work
+on a guess, ``_reach`` tests that the vertices its paths are drawn from
+reach every vertex within k.  Nothing here recurses; the only recursion left
+is the modulator branching in ``modulators.py``, at most as deep as its
+budget.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from operator import add
 
 from .csc import Candidate, CscInstance, dp_layers, reconstruct_selection, solve_csc
 from .errors import CapacityError, DisconnectedGraphError, SolverInvariantError
@@ -230,10 +233,7 @@ def solve_modular_width(query: MespQuery, tree: MDNode | None = None) -> MespAns
     for ppath in enumerate_shortest_paths(pattern, pattern_dist, dedup=True):
         stats.paths_checked += 1
         cand = tuple(reps[i] for i in ppath)
-        got = 0
-        for v in cand:
-            got |= cover[v]
-        if got == full and is_shortest_path(graph, dist, cand):
+        if _reach(cover, cand) == full and is_shortest_path(graph, dist, cand):
             return _finish_yes(query, cand, stats, t0)
     return _finish_no(stats, t0)
 
@@ -269,6 +269,15 @@ def _segments(adj, rows, a, b, avoid: int) -> list[tuple[int, ...]]:
             if path:
                 path.pop()
     return out
+
+
+def _reach(cover, vertices) -> int:
+    """The OR of ``cover[w]`` over ``vertices``: with ``cover`` the masks of
+    ``coverage_masks(k)``, every vertex within k of one of them."""
+    got = 0
+    for w in vertices:
+        got |= cover[w]
+    return got
 
 
 def _splice(adj, pi, interiors) -> tuple[int, ...]:
@@ -405,11 +414,16 @@ class _ClusterSearch:
         return prefixes, suffixes
 
     def _try_order(self, l_set, pi, groups):
+        prefixes, suffixes = self._extension_options(pi)
+        # every path an assignment can return is drawn from pi, the groups
+        # and the options, so unless they reach every vertex none is a witness
+        drawn = chain(pi, *chain.from_iterable(groups), *(v for v, _, _ in prefixes + suffixes))
+        if _reach(self.cover_k, drawn) != self.full:
+            return None
         k = self.k
         rows = self.rows
         dpi = list(map(min, zip(*(rows[x] for x in pi))))
         others = [u for u in self.U if u not in l_set]
-        prefixes, suffixes = self._extension_options(pi)
         if k == 1:
             # only modulator vertices at distance exactly 1 can exist
             assigns = [(0,) * len(others)]
@@ -591,10 +605,17 @@ class _DisjointPathsSearch:
     def run(self) -> tuple[int, ...] | None:
         n, k, rows = self.n, self.k, self.rows
         ecc = [self.dist.eccentricity(v) for v in range(n)]
+        cover, full = self.dist.coverage_masks(k), (1 << n) - 1
         for p_first in range(n):
+            row_f = rows[p_first]
             for p_last in range(p_first, n):
-                span = rows[p_first][p_last]
+                span = row_f[p_last]
                 if ecc[p_first] > span + k or ecc[p_last] > span + k:
+                    continue
+                # a witness is a shortest p_first-p_last path, so it lies in
+                # their interval, and the interval must reach every vertex
+                interval = [w for w, s in enumerate(map(add, row_f, rows[p_last])) if s == span]
+                if _reach(cover, interval) != full:
                     continue
                 found = self._try_endpoints(p_first, p_last, span)
                 if found is not None:

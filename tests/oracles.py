@@ -142,6 +142,21 @@ def residual_cluster_ok(adj: list[set[int]], removed: set[int]) -> bool:
     return True
 
 
+def first_p3(adj: list[set[int]], removed: set[int]) -> tuple[int, int, int] | None:
+    """The cluster modulator's branching triple by a plain scan: the
+    lexicographically first (a, b, c) of survivors with b adjacent to a and
+    c, and c neither a nor adjacent to a; None when there is none."""
+    live = [v for v in range(len(adj)) if v not in removed]
+    for a in live:
+        for b in live:
+            if b not in adj[a]:
+                continue
+            for c in live:
+                if c != a and c in adj[b] and c not in adj[a]:
+                    return a, b, c
+    return None
+
+
 def residual_paths_ok(adj: list[set[int]], removed: set[int]) -> bool:
     """Survivors form disjoint simple paths: degree <= 2 and no cycles."""
     n = len(adj)

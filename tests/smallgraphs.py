@@ -21,28 +21,25 @@ def edges_of(adj: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(a, b) for a in range(n) for b in range(a + 1, n) if adj[a] >> b & 1]
 
 
-def _refine_colors(adj: tuple[int, ...], rounds: int = 3):
-    """Per-vertex colors comparable across graphs (nested tuples, not ids)."""
+def _refine_colors(adj: tuple[int, ...], ids: dict, rounds: int = 3) -> tuple[int, ...]:
+    """Per-vertex colour ids after ``rounds`` rounds of refinement.  ``ids``
+    maps (round, own colour, sorted neighbour colours) to a colour id; graphs
+    refined with one table get ids that compare across them."""
     n = len(adj)
-    colors: list = [adj[v].bit_count() for v in range(n)]
-    for _ in range(rounds):
+    nbrs = [[w for w in range(n) if a >> w & 1] for a in adj]
+    colors = [len(nb) for nb in nbrs]
+    for r in range(rounds):
         colors = [
-            (colors[v], tuple(sorted(colors[w] for w in range(n) if adj[v] >> w & 1)))
-            for v in range(n)
+            ids.setdefault((r, colors[v], tuple(sorted(map(colors.__getitem__, nb)))), len(ids))
+            for v, nb in enumerate(nbrs)
         ]
     return tuple(colors)
 
 
-def _invariant(adj: tuple[int, ...]):
-    colors = _refine_colors(adj)
-    return (len(adj), sum(a.bit_count() for a in adj) // 2, tuple(sorted(colors)))
-
-
-def _isomorphic(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+def _isomorphic(a: tuple[int, ...], ca: tuple[int, ...], b: tuple[int, ...], cb: tuple[int, ...]) -> bool:
+    """Whether a and b are isomorphic, given their colours ca and cb (which
+    the caller has already found equal as multisets)."""
     n = len(a)
-    ca, cb = _refine_colors(a), _refine_colors(b)
-    if sorted(ca) != sorted(cb):
-        return False
     # map vertices of a (rarest colors first) onto same-colored vertices of b
     order = sorted(range(n), key=lambda v: (ca.count(ca[v]), v))
     image = [-1] * n
@@ -81,16 +78,18 @@ def connected_catalog(n: int) -> tuple[tuple[int, ...], ...]:
         return ((0,),)
     out: list[tuple[int, ...]] = []
     buckets: dict = {}
+    ids: dict = {}
     for small in connected_catalog(n - 1):
         for subset in range(1, 1 << (n - 1)):
             adj = tuple(
                 small[v] | ((subset >> v & 1) << (n - 1)) for v in range(n - 1)
             ) + (subset,)
-            key = _invariant(adj)
-            reps = buckets.setdefault(key, [])
-            if any(_isomorphic(adj, rep) for rep in reps):
+            colors = _refine_colors(adj, ids)
+            # the colours start from the degrees, so they fix the edge count
+            reps = buckets.setdefault(tuple(sorted(colors)), [])
+            if any(_isomorphic(adj, colors, rep, rep_colors) for rep, rep_colors in reps):
                 continue
-            reps.append(adj)
+            reps.append((adj, colors))
             out.append(adj)
     expected = EXPECTED_COUNTS.get(n)
     if expected is not None and len(out) != expected:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mesp.modulators
 from mesp import (
     Graph,
     MDNode,
@@ -27,6 +28,7 @@ from mesp import (
 )
 from mesp.cli import main
 from mesp.generators import gen_cluster_plus_p, gen_subdivided_core, gen_substitution
+from mesp.modulators import _first_p3
 
 import oracles
 from smallgraphs import connected_catalog, edges_of
@@ -81,6 +83,33 @@ class TestClusterModulator:
             mod = minimum_cluster_modulator(g)
             assert residual_is_cluster(g, mod.vertices)
             assert mod.size == oracles.min_modulator_size(g.n, g.edges(), "cluster")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_first_p3_matches_the_scan(self, data):
+        n = data.draw(st.integers(1, 14))
+        rng = random.Random(data.draw(st.integers(0, 10**9)))
+        g = random_connected(rng, n, rng.randint(n - 1, n * (n - 1) // 2))
+        removed = data.draw(st.integers(0, (1 << n) - 1))
+        want = oracles.first_p3(oracles.adjacency(n, g.edges()), set(_mask_verts(removed)))
+        assert _first_p3(g, removed) == want
+
+    def test_budgets_share_one_scan_per_removed_set(self, monkeypatch):
+        scanned = []
+
+        def counted(graph, removed):
+            scanned.append(removed)
+            return _first_p3(graph, removed)
+
+        monkeypatch.setattr(mesp.modulators, "_first_p3", counted)
+        rng = random.Random(12)
+        for _ in range(30):
+            g, _ = gen_cluster_plus_p(rng.randint(8, 20), rng.randint(2, 4), rng)
+            scanned.clear()
+            mod = minimum_cluster_modulator(g)
+            assert len(scanned) == len(set(scanned))
+            # the memo changes no answer: the same set as the budget alone
+            assert mod == find_cluster_modulator(g, mod.size)
 
 
 class TestDisjointPathsModulator:

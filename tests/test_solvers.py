@@ -1,6 +1,8 @@
 """MESP decision solvers: examples, oracle agreement, dispatch, minimize."""
 
 import random
+from collections import defaultdict
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +33,15 @@ from mesp import (
     solve_modular_width,
 )
 
-from mesp.generators import gen_subdivided_core
+from mesp.generators import gen_cluster_plus_p, gen_subdivided_core
 from mesp.graph import enumerate_shortest_paths
-from mesp.solvers import _segments, _splice
+from mesp.solvers import (
+    SolveStats,
+    _ClusterSearch,
+    _DisjointPathsSearch,
+    _segments,
+    _splice,
+)
 
 import oracles
 from test_graph import complete, cycle, path, random_connected, star
@@ -320,13 +328,14 @@ class TestDisjointPathsSolver:
                 assert got.stats.params["c"] <= c
 
 
-def paths_plus_c(rng: random.Random) -> tuple[Graph, int]:
-    """2-4 disjoint paths of 3-9 vertices plus a chain of c <= 3 apexes.
+def paths_plus_c(rng: random.Random, longest: int = 9) -> tuple[Graph, int]:
+    """2-4 disjoint paths of 3 to ``longest`` vertices plus a chain of c <= 3
+    apexes.
 
     Both ends and up to two interior vertices of every path are joined to
     random apexes, so deleting the apexes leaves exactly the paths.
     """
-    q_paths, length, c = rng.randint(2, 4), rng.randint(3, 9), rng.randint(1, 3)
+    q_paths, length, c = rng.randint(2, 4), rng.randint(3, longest), rng.randint(1, 3)
     n = q_paths * length + c
     apexes = range(q_paths * length, n)
     edges = {(a - 1, a) for a in apexes[1:]}
@@ -336,6 +345,136 @@ def paths_plus_c(rng: random.Random) -> tuple[Graph, int]:
         attached = [first, last] + [rng.randint(first, last) for _ in range(rng.randint(0, 2))]
         edges.update((v, rng.choice(apexes)) for v in attached)
     return Graph(n, sorted(edges)), c
+
+
+def _radius(inst: Instance) -> int:
+    return min(map(inst.dist.eccentricity, range(inst.graph.n)))
+
+
+class TestAtRealisticSizes:
+    """Forced guess-and-cover decisions against brute force at n = 15-60."""
+
+    def test_cluster_on_cluster_plus_p(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            g, mod = gen_cluster_plus_p(rng.randint(15, 60), rng.randint(1, 4), rng)
+            inst = Instance(g)
+            for k in range(_radius(inst) + 1):
+                got = decide(inst, k, "cluster")
+                assert got.decision == decide(inst, k, "brute").decision, (list(g.edges()), k)
+                assert got.stats.params["p"] <= mod.size
+
+    def test_paths_on_paths_plus_c(self):
+        rng = random.Random(32)
+        graphs = [paths_plus_c(rng, longest=14) for _ in range(120)]
+        sizes = [g.n for g, _ in graphs if g.n >= 15]
+        assert len(sizes) >= 80 and max(sizes) >= 50
+        for g, c in graphs:
+            if g.n < 15:
+                continue
+            inst = Instance(g)
+            for k in range(_radius(inst) + 1):
+                got = decide(inst, k, "paths")
+                assert got.decision == decide(inst, k, "brute").decision, (list(g.edges()), k)
+                assert got.stats.params["c"] <= c
+
+
+def _screen_cases(kind: str):
+    """(graph, instance, modulator, k) for seeded cluster-plus-p,
+    paths-plus-c and random connected graphs with n <= 16, every k from 1 to
+    the radius; graphs whose modulator of ``kind`` has more than 3 vertices
+    are left out."""
+    rng = random.Random(33)
+    graphs = []
+    for _ in range(25):
+        graphs.append(gen_cluster_plus_p(rng.randint(6, 16), rng.randint(1, 3), rng)[0])
+        graphs.append(paths_plus_c(rng, longest=4)[0])
+        n = rng.randint(5, 16)
+        graphs.append(random_connected(rng, n, rng.randint(n - 1, min(n + 6, n * (n - 1) // 2))))
+    for g in graphs:
+        inst = Instance(g)
+        mod = inst.modulator(kind, 3)
+        if mod is None:
+            continue
+        for k in range(1, _radius(inst) + 1):
+            yield g, inst, mod, k
+
+
+def _witness_ecc_by_ends(g: Graph) -> tuple[list[list[int]], dict]:
+    """Oracle rows, and the least eccentricity of a shortest path between
+    each pair of endpoints (first, last), first <= last."""
+    edges = list(g.edges())
+    rows = oracles.distance_rows(g.n, edges)
+    best: dict = defaultdict(lambda: g.n)
+    for p in oracles.all_shortest_paths(g.n, edges, rows):
+        ends = (min(p[0], p[-1]), max(p[0], p[-1]))
+        best[ends] = min(best[ends], oracles.path_ecc(rows, p))
+    return rows, best
+
+
+class TestScreens:
+    """Every guess the screens drop is one that cannot produce a witness."""
+
+    def test_interval_screen_drops_no_witness(self):
+        interval_drops = 0
+        for g, inst, mod, k in _screen_cases(DISJOINT_PATHS):
+            _, best = _witness_ecc_by_ends(g)
+            search = _DisjointPathsSearch(MespQuery(g, inst.dist, k), mod, SolveStats())
+            tried = []
+            try_endpoints = search._try_endpoints
+
+            def recorded(p_first, p_last, span):
+                tried.append((p_first, p_last))
+                return try_endpoints(p_first, p_last, span)
+
+            search._try_endpoints = recorded
+            found = search.run()
+            ecc, rows = inst.dist.eccentricity, inst.dist.rows
+            pairs = [(f, l) for f in range(g.n) for l in range(f, g.n)]
+            if found is not None:  # the search stopped at the last pair it tried
+                pairs = pairs[: pairs.index(tried[-1])]
+            for f, l in set(pairs) - set(tried):
+                assert best[f, l] > k, (list(g.edges()), k, f, l)
+                if max(ecc(f), ecc(l)) <= rows[f][l] + k:
+                    interval_drops += 1  # not dropped by the eccentricity screen
+        assert interval_drops > 100
+
+    def test_order_screen_drops_no_witness(self):
+        screened = kept = 0
+        for g, inst, mod, k in _screen_cases(CLUSTER):
+            rows, _ = _witness_ecc_by_ends(g)
+            search = _ClusterSearch(MespQuery(g, inst.dist, k), mod, SolveStats())
+            orders = []
+            try_order, try_assignment = search._try_order, search._try_assignment
+
+            def order_recorded(l_set, pi, groups):
+                orders.append([pi, groups, 0])
+                return try_order(l_set, pi, groups)
+
+            def assignment_counted(*args):
+                orders[-1][2] += 1
+                return try_assignment(*args)
+
+            search._try_order = order_recorded
+            search._try_assignment = assignment_counted
+            search.run()
+            for pi, groups, assignments in orders:
+                if assignments:  # every order the screen keeps gets one
+                    kept += 1
+                    continue
+                screened += 1
+                prefixes, suffixes = search._extension_options(pi)
+                for interiors in product(*groups):
+                    core = _splice(g.adj_mask, pi, interiors)
+                    for (pre, _, _), (suf, _, _) in product(prefixes, suffixes):
+                        p = pre + core + suf
+                        shortest = len(set(p)) == len(p) == rows[p[0]][p[-1]] + 1 and all(
+                            g.adj_mask[a] >> b & 1 for a, b in zip(p, p[1:])
+                        )
+                        assert not shortest or oracles.path_ecc(rows, p) > k, (
+                            list(g.edges()), k, p,
+                        )
+        assert screened > 50 and kept > 0
 
 
 class TestConnectorLayer:
