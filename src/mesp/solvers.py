@@ -523,7 +523,7 @@ class _ClusterSearch:
                 got = (None, 0, 0)
                 sub, layers = pack_for(banned)
                 if sub is not None:
-                    sel = reconstruct_selection(sub, layers, target)
+                    sel = reconstruct_selection(layers, target)
                     if sel is not None:
                         core = _splice(self.adj, pi, [c.payload for c in sel.candidates(sub)])
                         if is_shortest_path(self.graph, self.dist, core):
@@ -555,8 +555,8 @@ class _ClusterSearch:
                 target = full_t & ~(psat | ssat)
                 core, ccov, cmask = core_for(target)
                 if core is not None and cmask & emask:
-                    core, ccov, cmask = core_for(target, banned=emask)
-                if core is None or cmask & emask:
+                    core, ccov, _ = core_for(target, banned=emask)
+                if core is None:
                     continue
                 if ccov | pcov | scov != full:
                     continue
@@ -623,7 +623,7 @@ class _DisjointPathsSearch:
         return None
 
     def _try_endpoints(self, p_first, p_last, span):
-        rows, k = self.rows, self.k
+        rows = self.rows
         chat = sorted(set(self.C) | {p_first, p_last})
         chat_mask = _mask_of(chat)
         lo_bound: dict[int, int] = {}
@@ -634,8 +634,6 @@ class _DisjointPathsSearch:
             lo = max(1, rows[v][p_first] - span, rows[v][p_last] - span)
             if rows[v][p_first] + rows[v][p_last] == span:
                 between.append(v)
-            elif lo > k:
-                return None  # v can be neither on the path nor near enough
             lo_bound[v] = lo
         for lsize in range(len(between) + 1):
             for extra in combinations(between, lsize):
@@ -648,7 +646,7 @@ class _DisjointPathsSearch:
         rows, k = self.rows, self.k
         l_set = {p_first, p_last} | set(extra)
         pi = unique_order(self.dist, p_first, sorted(l_set))
-        if pi is None or pi[-1] != p_last:
+        if pi is None:
             return None
         assert pi[0] == p_first
 

@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mesp import CapacityError, Candidate, CscInstance, solve_csc, solve_csc_bruteforce
-from mesp.csc import (
-    UNREACHABLE,
-    dp_layers,
-    format_csc_instance,
-    parse_csc_instance,
-    reconstruct_selection,
-)
+from mesp.csc import dp_layers, reconstruct_selection
 
 import oracles
 
@@ -64,7 +58,7 @@ class TestExamples:
 
     def test_r_cap(self):
         with pytest.raises(CapacityError):
-            solve_csc(inst(30, [1]), r_cap=26)
+            solve_csc(inst(30, [1]))
 
     def test_brute_work_cap(self):
         big = inst(1, *[[0, 1, 1, 1]] * 12)
@@ -74,12 +68,13 @@ class TestExamples:
 
 class TestLayers:
     def test_layer0(self):
-        layers = dp_layers(inst(2, [0b11]))
-        assert layers[0][0] == 0
-        assert all(layers[0][q] == UNREACHABLE for q in (1, 2, 3))
+        # with no group chosen yet only the empty target is covered
+        layers = dp_layers(inst(2))
+        assert reconstruct_selection(layers, 0).indices == ()
+        assert all(reconstruct_selection(layers, q) is None for q in (1, 2, 3))
 
     def test_layer_semantics_small_random(self):
-        # reachable at layer i iff some prefix choice covers the subset
+        # a prefix choice covering q exists iff one is reconstructed, and it covers q
         rng = random.Random(5)
         for _ in range(300):
             r = rng.randint(0, 6)
@@ -88,22 +83,31 @@ class TestLayers:
                 [rng.randrange(1 << r) for _ in range(rng.randint(1, 3))]
                 for _ in range(m)
             ]
-            instance = inst(r, *groups)
-            layers = dp_layers(instance)
             for i in range(m + 1):
-                prefix = groups[:i]
+                prefix = inst(r, *groups[:i])
+                layers = dp_layers(prefix)
+                unions = _unions(groups[:i])
                 for q in range(1 << r):
-                    want = any(
-                        all(q >> b & 1 <= (cov >> b & 1) for b in range(r))
-                        for cov in _unions(prefix)
-                    )
-                    assert (layers[i][q] != UNREACHABLE) == want, (groups, i, q)
+                    sel = reconstruct_selection(layers, q)
+                    want = any(cov & q == q for cov in unions)
+                    assert (sel is not None) == want, (groups, i, q)
+                    if sel is not None:
+                        assert sel.covered_mask(prefix) & q == q, (groups, i, q)
+
+    def test_layers_hold_only_reachable_sets(self):
+        # r = 20 but only halves and their union are ever covered
+        low = (1 << 10) - 1
+        high = low << 10
+        instance = inst(20, *[[low, high]] * 3)
+        layers = dp_layers(instance)
+        assert all(len(layer) <= 4 for layer in layers)
+        assert solve_csc(instance).covered_mask(instance) == (1 << 20) - 1
 
     def test_target_reconstruction(self):
         instance = inst(3, [0b011, 0b110], [0b100, 0b001])
         layers = dp_layers(instance)
         # partial targets are reachable even when smaller than full cover
-        sol = reconstruct_selection(instance, layers, 0b010)
+        sol = reconstruct_selection(layers, 0b010)
         got = 0
         for mask in selected_masks(instance, sol):
             got |= mask
@@ -148,19 +152,3 @@ def test_feasibility_matches_oracle(data):
     if sol is not None:
         assert sol.covered_mask(instance) == (1 << r) - 1
 
-
-class TestTextFormat:
-    def test_round_trip(self):
-        text = "3 2\n2\n0 1\n1 2\n2\n2\n0\n"
-        instance = parse_csc_instance(text)
-        assert instance.r == 3 and instance.m == 2
-        assert [c.mask for c in instance.groups[0]] == [0b011, 0b110]
-        assert format_csc_instance(instance) == text
-
-    def test_blank_candidate_line(self):
-        instance = parse_csc_instance("1 1\n2\n\n0\n")
-        assert [c.mask for c in instance.groups[0]] == [0, 1]
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            parse_csc_instance("1 1\n1\n3\n")
