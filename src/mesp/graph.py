@@ -1,8 +1,9 @@
 """Core graph types, distances and shortest-path enumeration.
 
 Vertices are dense integers ``0..n-1``.  Graphs are simple, undirected and
-connected.  All-pairs distances are computed eagerly, one frontier-bitmask
-BFS per source, and kept as a plain table with each vertex's eccentricity.
+connected.  All-pairs distances are kept as a plain table with each vertex's
+eccentricity, filled by one frontier-bitmask BFS per source or, from a
+partition of the vertices into modules, by one template row per module.
 Vertex subsets travel as Python int bitmasks in the hot paths (bit ``v`` set
 means vertex ``v`` is in the set).
 """
@@ -197,10 +198,12 @@ def load_graph(path) -> Graph:
 
 
 class DistanceMatrix:
-    """All-pairs distance table of a connected graph, built eagerly.
+    """All-pairs distance table of a connected graph.
 
-    ``rows[u][v]`` is d(u, v).  One BFS per source fills a row and records
-    the source's eccentricity.  The BFS keeps its frontier and visited set
+    ``rows[u][v]`` is d(u, v).  The constructor fills it by BFS and
+    ``from_split`` from a partition into modules; every reader works on
+    either.  One BFS per source fills a row and records the source's
+    eccentricity.  The BFS keeps its frontier and visited set
     as bitmasks: each layer's vertices are read off the frontier's set bits
     once, each gets its distance and ORs its neighbor mask into the next
     frontier.  The bits are walked inline, not with ``_bits``: the generator
@@ -232,6 +235,53 @@ class DistanceMatrix:
                 seen |= frontier
             rows.append(row)
             ecc.append(d)
+        self._keep(rows, ecc)
+
+    @classmethod
+    def from_split(
+        cls, graph: Graph, parts: Sequence[int], quotient: Sequence[Sequence[int]]
+    ) -> DistanceMatrix:
+        """The table of ``graph`` from a partition of its vertices into at
+        least two modules, the masks ``parts``, whose quotient graph has the
+        distance rows ``quotient``.
+
+        The graph is connected, so every part has an outside neighbour, which
+        is adjacent to the whole part.  So for u in part i and v in part j,
+        d(u, v) is ``quotient[i][j]`` when i != j, and inside part i it is 1
+        for neighbours and 2 otherwise.  Part i's template row holds the
+        quotient distances and 2 inside the part; u's row copies it, sets u's
+        neighbours inside the part to 1 and u itself to 0.
+        """
+        n = graph.n
+        adj = graph.adj_mask
+        part_of = [0] * n
+        for i, mask in enumerate(parts):
+            for v in _bits(mask):
+                part_of[v] = i
+        rows: list[list[int]] = [[]] * n
+        ecc = [0] * n
+        for i, mask in enumerate(parts):
+            to_part = list(quotient[i])
+            far = max(to_part)
+            to_part[i] = 2
+            template = list(map(to_part.__getitem__, part_of))
+            for u in _bits(mask):
+                row = template.copy()
+                inner = near = adj[u] & mask
+                while near:
+                    bit = near & -near
+                    row[bit.bit_length() - 1] = 1
+                    near ^= bit
+                row[u] = 0
+                rows[u] = row
+                # a vertex of the part that is neither u nor a neighbour is at 2
+                ecc[u] = max(far, 2) if mask ^ inner ^ 1 << u else far
+        self = cls.__new__(cls)
+        self.n = n
+        self._keep(rows, ecc)
+        return self
+
+    def _keep(self, rows: list[list[int]], ecc: list[int]) -> None:
         self.rows = rows
         self._ecc = ecc
         self._cover: dict[int, list[int]] = {}

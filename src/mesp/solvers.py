@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations, product
 from operator import add
 
@@ -783,16 +784,39 @@ def solve_distance_to_disjoint_paths(
 class Instance:
     """A graph prepared for MESP decisions at any k.
 
-    Holds the graph and its distance matrix and builds each structural
+    Holds the graph and builds its distance table and each structural
     parameter (modular decomposition, minimum modulators) on first use, so
     every decision that shares the instance shares one computation of it.
+    The table comes from the root split when the decomposition is already
+    held and its root is join or prime, else from BFS; so callers build the
+    decomposition they need before they first read ``dist`` (see ``_plan``).
+    ``dist_seconds`` is the time the table's build took.
     """
 
     def __init__(self, graph: Graph, dist: DistanceMatrix | None = None):
         self.graph = graph
-        self.dist = all_pairs_distances(graph) if dist is None else dist
+        self._dist = dist
+        self.dist_seconds = 0.0
         self._tree: MDNode | None = None
         self._modulators: dict[tuple[str, int | None], Modulator | None] = {}
+
+    @property
+    def dist(self) -> DistanceMatrix:
+        if self._dist is None:
+            t0 = time.perf_counter()
+            root = self._tree
+            if root is not None and root.kind in ("join", "prime"):
+                q = len(root.children)
+                quotient = (
+                    all_pairs_distances(root.pattern).rows if root.kind == "prime"
+                    else [[int(i != j) for j in range(q)] for i in range(q)]
+                )
+                parts = [child.mask for child in root.children]
+                self._dist = DistanceMatrix.from_split(self.graph, parts, quotient)
+            else:
+                self._dist = all_pairs_distances(self.graph)
+            self.dist_seconds = time.perf_counter() - t0
+        return self._dist
 
     @property
     def decomposition(self) -> MDNode:
@@ -812,6 +836,19 @@ class Instance:
             self._modulators[key] = find(self.graph, cap)
         return self._modulators[key]
 
+    @cached_property
+    def _fixed_prices(self) -> tuple[float, float]:
+        """auto's two prices that depend on neither k nor a parameter: brute
+        force's 2^(m-n+1) n^3 and mw's floor.  G is connected, so when its
+        complement is too the root is prime with at least 4 children, and
+        w >= 4: the floor is 16 n^3, else n^3."""
+        graph, n = self.graph, self.graph.n
+        n3 = float(n) ** 3
+        full = (1 << n) - 1
+        co_adj = [full ^ (a | 1 << v) for v, a in enumerate(graph.adj_mask)]
+        mw_floor = 16 * n3 if n > 1 and len(components(co_adj, full)) == 1 else n3
+        return 2.0 ** min(graph.m - n + 1, 400) * n3, mw_floor
+
 
 def _auto_choice(inst: Instance, k: int) -> tuple[str, dict, int | None]:
     """The argmin of the four worst-case prices within SOLVE_BUDGET (ties: mw,
@@ -821,7 +858,7 @@ def _auto_choice(inst: Instance, k: int) -> tuple[str, dict, int | None]:
     Brute force is priced first, from n and m; a parameter is built only
     while its solver's free lower bound beats the best price so far.
     """
-    graph, n = inst.graph, inst.graph.n
+    n = inst.graph.n
     n3, n4, n6 = float(n) ** 3, float(n) ** 4, float(n) ** 6
     priced: dict = {}
 
@@ -838,12 +875,7 @@ def _auto_choice(inst: Instance, k: int) -> tuple[str, dict, int | None]:
             return 2.0 ** min(4 * size, 400) * max(size, 1) * n6
         return 2.0 ** min(5 * size, 400) * float(max(k, 1)) ** min(size, 60) * max(size, 1) * n4
 
-    # G is connected, so when its complement is too the root is prime with
-    # at least 4 children, and w >= 4
-    full = (1 << n) - 1
-    co_adj = [full ^ (a | 1 << v) for v, a in enumerate(graph.adj_mask)]
-    mw_floor = 16 * n3 if n > 1 and len(components(co_adj, full)) == 1 else n3
-    brute = 2.0 ** min(graph.m - n + 1, 400) * n3
+    brute, mw_floor = inst._fixed_prices
     # (SOLVE_BUDGET, 4) admits exactly the prices within budget
     best, pick = ((brute, 3), "brute") if brute <= SOLVE_BUDGET else ((SOLVE_BUDGET, 4), None)
     for floor, tie, name in sorted([(mw_floor, 0, "mw"), (n6, 1, "cluster"), (n4, 2, "paths")]):
@@ -855,18 +887,29 @@ def _auto_choice(inst: Instance, k: int) -> tuple[str, dict, int | None]:
     return (pick, priced, None) if pick else ("brute", priced, BRUTE_PATH_CAP)
 
 
+def _plan(inst: Instance, k: int, solver: str) -> tuple[str, dict | None, int | None, int | None]:
+    """The solver ``decide`` runs at ``k``: its name, the parameters auto
+    built to price it (None when forced), the modulator cap and the path cap.
+    It builds the decomposition of an mw pick, so call it before the first
+    read of ``inst.dist``: the table is then filled from the root split."""
+    if solver == "auto":
+        pick, priced, path_cap = _auto_choice(inst, k)
+        cap = MODULATOR_CAP
+    else:
+        pick, priced, cap, path_cap = solver, None, None, None
+    if pick == "mw":
+        inst.decomposition  # built before the table, which it then fills
+    return pick, priced, cap, path_cap
+
+
 def decide(inst: Instance, k: int, solver: str = "auto") -> MespAnswer:
     """Decide MESP at ``k`` with the solver named ``solver`` (SOLVER_NAMES).
 
     ``auto`` runs the cheapest solver by estimate and reports it as
     ``auto:<name>`` with the parameters it built to price it.
     """
+    pick, priced, cap, path_cap = _plan(inst, k, solver)
     query = MespQuery(inst.graph, inst.dist, k)
-    if solver == "auto":
-        pick, priced, path_cap = _auto_choice(inst, k)
-        cap = MODULATOR_CAP
-    else:
-        pick, priced, cap, path_cap = solver, None, None, None
     if pick == "brute":
         answer = solve_bruteforce(query, path_cap=path_cap)
     elif pick == "mw":
@@ -895,8 +938,13 @@ def minimize_k(inst: Instance, solver: str = "auto") -> tuple[int, PathWitness]:
     witness for k + 1, and the single-vertex path (c) witnesses the radius,
     c the central vertex (the smallest vertex of least eccentricity).  Every
     probe shares ``inst``, so each structural parameter is built at most
-    once.
+    once.  ``_plan`` at k = 1 builds what the probes price before the
+    radius is read, so a decomposition it builds fills the table.  Only the
+    paths price depends on k and it grows with k (k = 0 prices as 1), so
+    every probe prices at least that; a single vertex gets no probe.
     """
+    if inst.graph.n > 1:
+        _plan(inst, 1, solver)
     center = min(range(inst.graph.n), key=inst.dist.eccentricity)
     lo, hi = 0, inst.dist.eccentricity(center)
     best = PathWitness((center,))

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from mesp import Graph
 from mesp.cli import graph_digest, main
 from mesp.generators import gen_substitution
+from mesp.graph import DistanceMatrix
 
 
 C6 = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
@@ -63,6 +65,29 @@ class TestSolve:
         assert all(t >= 0 for t in report["timings"].values())
         # digests are pinned as literals, so a cheaper digest must keep the bytes
         assert report["digest"] == "206ebd20e94a3543"
+
+    @pytest.mark.parametrize("solver", ["auto", "mw", "brute"])
+    def test_distances_timing_covers_the_table(self, tmp_path, capsys, monkeypatch, solver):
+        # the table is built on first read, inside the solve (by BFS for
+        # brute, from the join root of K_{2,3} otherwise): its time must
+        # still land in timings.distances and not in timings.solve
+        bfs, split = DistanceMatrix.__init__, DistanceMatrix.from_split.__func__
+
+        def slow_bfs(self, graph):
+            time.sleep(0.05)
+            bfs(self, graph)
+
+        def slow_split(cls, *args):
+            time.sleep(0.05)
+            return split(cls, *args)
+
+        monkeypatch.setattr(DistanceMatrix, "__init__", slow_bfs)
+        monkeypatch.setattr(DistanceMatrix, "from_split", classmethod(slow_split))
+        f = tmp_path / "k23.txt"
+        f.write_text("5 6\n" + "".join(f"{a} {b}\n" for a in (0, 1) for b in (2, 3, 4)))
+        assert main(["solve", "--minimize", "--json", "--solver", solver, str(f)]) == 0
+        timings = json.loads(capsys.readouterr().out)["timings"]
+        assert timings["distances"] >= 0.05 > timings["solve"]
 
     def test_digest_pinned(self):
         assert graph_digest(gen_substitution(60, 6, random.Random(7))[0]) == "f93bbf468f6fddfa"

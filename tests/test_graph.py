@@ -2,15 +2,18 @@
 
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mesp.solvers
 from mesp import (
     DisconnectedGraphError,
     Graph,
     GraphFormatError,
+    Instance,
     PathWitness,
     all_pairs_distances,
     closed_k_neighborhood,
@@ -22,7 +25,7 @@ from mesp import (
     path_within_ecc,
     unique_order,
 )
-from mesp.generators import gen_subdivided_core, gen_substitution
+from mesp.generators import gen_cluster_plus_p, gen_subdivided_core, gen_substitution
 from mesp.graph import _bits, components
 
 import oracles
@@ -166,6 +169,54 @@ class TestDistances:
         g = path(300)
         rows = oracles.distance_rows(g.n, g.edges())
         assert_matches_oracle(g, all_pairs_distances(g), rows, (0, 1, 254, 255, 256, 299))
+
+
+def complete_multipartite(rng, n):
+    """K_{s_1, ..., s_t} on n vertices, t >= 2 parts when n >= 2: a join root."""
+    part = [0] + [rng.randint(0, min(v, 3)) for v in range(1, n)]
+    if n > 1 and not any(part):
+        part[-1] = 1
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]])
+
+
+SPLIT_FAMILIES = {
+    "substitution": lambda rng, n: gen_substitution(n, 6, rng)[0],
+    "cluster-plus-p": lambda rng, n: gen_cluster_plus_p(n, rng.randint(0, min(3, n)), rng)[0],
+    "complete-multipartite": complete_multipartite,
+    # mostly prime roots, some join
+    "random": lambda rng, n: random_connected(rng, n, rng.randint(n - 1, n * (n - 1) // 2)),
+}
+
+
+class TestSplitTable:
+    """The table an Instance fills from the root split of its decomposition."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(SPLIT_FAMILIES)), st.integers(1, 40), st.integers(0, 10**9))
+    @example("random", 1, 0)
+    @example("random", 2, 0)
+    def test_split_rows_match_oracle(self, family, n, seed):
+        g = SPLIT_FAMILIES[family](random.Random(seed), n)
+        with mock.patch.object(mesp.solvers, "all_pairs_distances", wraps=all_pairs_distances) as bfs:
+            inst = Instance(g)
+            root = inst.decomposition
+            dist = inst.dist
+        # a join or prime root fills the table with no BFS of g (only of the
+        # quotient pattern); a single vertex is a leaf, filled by BFS
+        split = all(call.args[0] is not g for call in bfs.call_args_list)
+        assert split == (root.kind in ("join", "prime")) == (n > 1)
+        rows = oracles.distance_rows(g.n, g.edges())
+        assert_matches_oracle(g, dist, rows)
+        by_bfs = all_pairs_distances(g)
+        for k in range(max(map(max, rows)) + 1):
+            assert dist.coverage_masks(k) == by_bfs.coverage_masks(k)
+
+    def test_prime_roots_are_covered(self):
+        kinds = {
+            Instance(SPLIT_FAMILIES["random"](random.Random(seed), 12)).decomposition.kind
+            for seed in range(20)
+        }
+        assert kinds == {"join", "prime"}
 
 
 def assert_matches_oracle(g, dist, rows, ks=None):

@@ -78,9 +78,16 @@ def test_unknown_solver():
 
 @pytest.fixture
 def build_counts(monkeypatch):
-    """Calls of each structural-parameter builder, counted where Instance
-    looks them up."""
+    """Calls of each structural-parameter builder, and BFS distance tables
+    built for the input graph (``all_pairs_distances``), counted where
+    Instance looks them up.  A BFS of the quotient pattern at the root of a
+    counted decomposition is not the input graph's, and is not counted."""
     counts = {}
+    quotients = []
+
+    def count(name):
+        counts[name] = counts.get(name, 0) + 1
+
     for name in (
         "modular_decomposition",
         "minimum_cluster_modulator",
@@ -89,32 +96,65 @@ def build_counts(monkeypatch):
         original = getattr(mesp.solvers, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _original(*args, **kwargs)
+            count(_name)
+            got = _original(*args, **kwargs)
+            if _name == "modular_decomposition":
+                quotients.append(got.pattern)
+            return got
 
         monkeypatch.setattr(mesp.solvers, name, counted)
+
+    bfs = mesp.solvers.all_pairs_distances
+
+    def counted_bfs(graph):
+        if not any(graph is pattern for pattern in quotients):
+            count("all_pairs_distances")
+        return bfs(graph)
+
+    monkeypatch.setattr(mesp.solvers, "all_pairs_distances", counted_bfs)
     return counts
 
 
-def _minimize_file(graph, tmp_path, capsys):
+def _write(graph, tmp_path):
     f = tmp_path / "g.txt"
     f.write_text(f"{graph.n} {graph.m}\n" + "".join(f"{a} {b}\n" for a, b in graph.edges()))
-    assert main(["solve", "--minimize", "--json", str(f)]) == 0
+    return str(f)
+
+
+def _minimize_file(graph, tmp_path, capsys):
+    assert main(["solve", "--minimize", "--json", _write(graph, tmp_path)]) == 0
     assert json.loads(capsys.readouterr().out)["k_star"] >= 1
 
 
 def test_minimize_builds_each_parameter_once(build_counts, tmp_path, capsys):
     # cycle rank 3: brute force costs 8 n^3, below mw's floor of 16 n^3 (G
-    # and its complement are connected), so auto builds no parameter at all
+    # and its complement are connected), so auto builds no parameter at all,
+    # and the distances come from one BFS table
     _minimize_file(gen_subdivided_core(6, 8, 40, random.Random(2))[0], tmp_path, capsys)
-    assert build_counts == {}
+    assert build_counts == {"all_pairs_distances": 1}
 
 
 def test_minimize_builds_only_the_decomposition_when_dense(build_counts, tmp_path, capsys):
     # brute force is over budget and mw's 2^w n^3 <= 64 n^3 is below the n^4
-    # floor of paths, so neither modulator is searched
+    # floor of paths, so neither modulator is searched; the decomposition is
+    # built before the distances, which come from its root split, not by BFS
     _minimize_file(gen_substitution(80, 6, random.Random(2))[0], tmp_path, capsys)
     assert build_counts == {"modular_decomposition": 1}
+
+
+@pytest.mark.parametrize(
+    "solver, build, modulator",
+    [
+        ("cluster", lambda rng: gen_cluster_plus_p(40, 2, rng)[0], "minimum_cluster_modulator"),
+        ("paths", lambda rng: paths_plus_c(rng)[0], "minimum_disjoint_paths_modulator"),
+    ],
+)
+def test_forced_decision_builds_no_decomposition(build_counts, tmp_path, capsys, solver, build, modulator):
+    graph = build(random.Random(3))
+    argv = ["solve", "--k", "1", "--solver", solver, "--json", _write(graph, tmp_path)]
+    assert main(argv) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["solver"] == solver
+    assert build_counts == {modulator: 1, "all_pairs_distances": 1}
 
 
 # seed 8 gives both graphs ecc(0) >= 4, so the search makes several probes
