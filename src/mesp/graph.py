@@ -10,11 +10,10 @@ means vertex ``v`` is in the set).
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import eq
 from typing import Iterable, Iterator, Sequence
 
@@ -207,11 +206,11 @@ class DistanceMatrix:
     as bitmasks: each layer's vertices are read off the frontier's set bits
     once, each gets its distance and ORs its neighbor mask into the next
     frontier.  The bits are walked inline, not with ``_bits``: the generator
-    made the BFS 15-20% slower at average degree 8-16.  No per-source layer
-    masks are kept.
+    made the BFS 15-20% slower at average degree 8-16.  It keeps only the
+    rows, the eccentricities and each k's coverage masks.
     """
 
-    __slots__ = ("n", "rows", "_ecc", "_cover", "_walk")
+    __slots__ = ("n", "rows", "_ecc", "_cover")
 
     def __init__(self, graph: Graph):
         n = self.n = graph.n
@@ -285,7 +284,6 @@ class DistanceMatrix:
         self.rows = rows
         self._ecc = ecc
         self._cover: dict[int, list[int]] = {}
-        self._walk: tuple[array, array] | None = None
 
     def d(self, u: int, v: int) -> int:
         return self.rows[u][v]
@@ -306,28 +304,6 @@ class DistanceMatrix:
                 got = [int("".join(map(spell.__getitem__, reversed(row))), 2) for row in self.rows]
             self._cover[k] = got
         return got
-
-    def path_pushes(self, graph: Graph, keep: int) -> Iterator[tuple[int, int]]:
-        """The pushes of ``_iter_path_pushes(graph, self)``.  They do not
-        depend on k, so a walk that ends within ``keep`` pushes is kept as two
-        ``array('i')``, vertices and depths (8 bytes a push), and replayed."""
-        return zip(*self._walk) if self._walk else chain.from_iterable(self._record(graph, keep))
-
-    def _record(self, graph: Graph, keep: int) -> Iterator[Iterable[tuple[int, int]]]:
-        """The live walk in chunks of 1024 pushes, each flattened into an
-        ``array`` in C; past ``keep`` pushes, the rest of the walk unrecorded."""
-        vs, ds = array("i"), array("i")
-        pushes = _iter_path_pushes(graph, self)
-        flat = chain.from_iterable(pushes)
-        while chunk := array("i", islice(flat, 2048)):
-            vs.extend(chunk[::2])
-            ds.extend(chunk[1::2])
-            yield zip(chunk[::2], chunk[1::2])
-            if len(vs) > keep:
-                del vs, ds
-                yield pushes
-                return
-        self._walk = vs, ds
 
 
 def all_pairs_distances(graph: Graph) -> DistanceMatrix:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, product
 from operator import add
+from typing import Iterator
 
 from .csc import Candidate, CscInstance, dp_layers, reconstruct_selection, solve_csc
 from .errors import CapacityError, DisconnectedGraphError, SolverInvariantError
@@ -32,6 +33,7 @@ from .graph import (
     Graph,
     PathWitness,
     _bits,
+    _iter_path_pushes,
     _mask_of,
     all_pairs_distances,
     components,
@@ -156,42 +158,56 @@ def _settled(query: MespQuery, stats: SolveStats, t0: float) -> MespAnswer | Non
 # exhaustive enumeration (doubles as the universal oracle)
 
 
-def solve_bruteforce(
-    query: MespQuery, time_limit: float | None = None, path_cap: int | None = None
-) -> MespAnswer:
-    """Check every shortest path, returning the first one (in canonical
-    enumeration order) whose k-neighborhoods cover the whole graph.
-
-    Each push (v, d) of the shortest-path walk is one path, checked in O(1)
-    from the covered-vertex mask of its first d vertices.  The walk does not
-    depend on k: ``DistanceMatrix.path_pushes`` records a complete one of at
-    most ``BRUTE_PATH_CAP`` pushes, and later decisions replay it.  The
-    optional limits are checked every 4096 paths: having checked ``path_cap``
-    paths, or having run longer than ``time_limit`` seconds, raises
-    CapacityError.
+def _covering_paths(
+    query: MespQuery, stats: SolveStats, time_limit: float | None, path_cap: int | None
+) -> Iterator[tuple[int, ...]]:
+    """Each shortest path, in canonical enumeration order, that covers the
+    graph within a target that starts at ``query.k`` and falls by one after
+    each, until it would fall below 0; the walk goes on from the same push,
+    with the current path's masks recomputed.  Started below the radius,
+    each has eccentricity exactly the target: its prefixes, checked at no
+    lower target, have more, and a vertex lowers it by at most one.  A push
+    (v, d) is one path, checked by one OR with its first d vertices' cover.
+    ``stats.paths_checked`` counts pushes; every 4096, having checked
+    ``path_cap`` paths or run ``time_limit`` seconds raises CapacityError.
     """
     t0 = time.perf_counter()
-    stats = SolveStats(solver="brute")
-    graph, dist, k = query.graph, query.dist, query.k
+    graph, dist, target = query.graph, query.dist, query.k
     full = (1 << graph.n) - 1
-    cover = dist.coverage_masks(k)
+    cover = dist.coverage_masks(target)
     path, masks = [0] * graph.n, [0] * (graph.n + 1)  # path[d], cover of path[:d]
     limited = time_limit is not None or path_cap is not None
     checked = 0
-    for v, d in dist.path_pushes(graph, BRUTE_PATH_CAP):
+    for v, d in _iter_path_pushes(graph, dist):
         checked += 1
         got = masks[d + 1] = masks[d] | cover[v]
         path[d] = v
         if got == full:
             stats.paths_checked = checked
-            return _finish_yes(query, path[:d + 1], stats, t0)
+            yield tuple(path[:d + 1])
+            target -= 1
+            if target < 0:
+                return
+            cover = dist.coverage_masks(target)
+            for i in range(d + 1):
+                masks[i + 1] = masks[i] | cover[path[i]]
         if limited and checked % 4096 == 0:
             if path_cap is not None and checked >= path_cap:
                 raise CapacityError(f"enumeration reached path cap {path_cap}")
             if time_limit is not None and time.perf_counter() - t0 > time_limit:
                 raise CapacityError(f"enumeration exceeded time limit {time_limit}s")
     stats.paths_checked = checked
-    return _finish_no(stats, t0)
+
+
+def solve_bruteforce(
+    query: MespQuery, time_limit: float | None = None, path_cap: int | None = None
+) -> MespAnswer:
+    """The first shortest path in canonical order whose k-neighborhoods cover
+    the graph: the first that ``_covering_paths`` yields, under its limits."""
+    t0 = time.perf_counter()
+    stats = SolveStats(solver="brute")
+    found = next(_covering_paths(query, stats, time_limit, path_cap), None)
+    return _finish_no(stats, t0) if found is None else _finish_yes(query, found, stats, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -934,20 +950,27 @@ def solve_auto(query: MespQuery) -> MespAnswer:
 def minimize_k(inst: Instance, solver: str = "auto") -> tuple[int, PathWitness]:
     """Smallest k answered yes, with a witness for it.
 
-    Binary search over [0, radius] is sound because a witness for k is a
-    witness for k + 1, and the single-vertex path (c) witnesses the radius,
-    c the central vertex (the smallest vertex of least eccentricity).  Every
-    probe shares ``inst``, so each structural parameter is built at most
-    once.  ``_plan`` at k = 1 builds what the probes price before the
-    radius is read, so a decomposition it builds fills the table.  Only the
-    paths price depends on k and it grows with k (k = 0 prices as 1), so
-    every probe prices at least that; a single vertex gets no probe.
+    k* lies in [0, radius]: the single-vertex path (c) witnesses the radius,
+    c the central vertex (the smallest vertex of least eccentricity).
+    ``_plan`` at k = 1 builds what the decisions price before the table is
+    read, so a decomposition it builds fills it.  Only the paths price
+    grows with k, so a brute force pick there holds at every k: one
+    ``_covering_paths`` walk from radius - 1, under the pick's path cap,
+    lowers k* by one per path found, and the last is re-verified.  Any other
+    pick binary-searches [0, radius] (a witness for k is one for k + 1).
     """
+    pick = path_cap = None
     if inst.graph.n > 1:
-        _plan(inst, 1, solver)
-    center = min(range(inst.graph.n), key=inst.dist.eccentricity)
-    lo, hi = 0, inst.dist.eccentricity(center)
+        pick, _, _, path_cap = _plan(inst, 1, solver)
+    graph, dist = inst.graph, inst.dist
+    center = min(range(graph.n), key=dist.eccentricity)
+    lo, hi = 0, dist.eccentricity(center)
     best = PathWitness((center,))
+    if pick == "brute":
+        t0, stats, found = time.perf_counter(), SolveStats(solver="brute"), (center,)
+        for found in _covering_paths(MespQuery(graph, dist, hi - 1), stats, None, path_cap):
+            hi -= 1
+        return hi, _finish_yes(MespQuery(graph, dist, hi), found, stats, t0).witness
     while lo < hi:
         mid = (lo + hi) // 2
         answer = decide(inst, mid, solver)

@@ -33,7 +33,7 @@ from mesp import (
     solve_modular_width,
 )
 
-from mesp.generators import gen_cluster_plus_p, gen_subdivided_core
+from mesp.generators import gen_cluster_plus_p, gen_subdivided_core, gen_substitution
 from mesp.graph import enumerate_shortest_paths
 from mesp.solvers import (
     SolveStats,
@@ -113,9 +113,10 @@ class TestBruteforce:
 
 
 def _count_walks(monkeypatch) -> list[list]:
-    """Wrap the live shortest-path walk; each start appends [dist, finished]."""
+    """Wrap the shortest-path walk at the binding brute force reads; each
+    start appends [dist, finished]."""
     walks = []
-    walk = mesp.graph._iter_path_pushes
+    walk = mesp.solvers._iter_path_pushes
 
     def counted(graph, dist):
         entry = [dist, False]
@@ -123,7 +124,7 @@ def _count_walks(monkeypatch) -> list[list]:
         yield from walk(graph, dist)
         entry[1] = True
 
-    monkeypatch.setattr(mesp.graph, "_iter_path_pushes", counted)
+    monkeypatch.setattr(mesp.solvers, "_iter_path_pushes", counted)
     return walks
 
 
@@ -142,25 +143,21 @@ def _outcome(answer):
 
 
 class TestRecordedWalk:
-    """Brute force replays the k-independent walk kept on the distance matrix."""
+    """Brute force records nothing of its walk: every decision walks live,
+    and a minimization is one walk whose target descends."""
 
     def test_replay_matches_fresh_walk(self, monkeypatch):
         walks = _count_walks(monkeypatch)
         for g in _replay_graphs():
             kept = all_pairs_distances(g)
+            noes = []
             for k in range(max(map(kept.eccentricity, range(g.n))) + 1):
                 fresh = solve_bruteforce(MespQuery(g, all_pairs_distances(g), k))
                 assert _outcome(solve_bruteforce(MespQuery(g, kept, k))) == _outcome(fresh), (
                     list(g.edges()), k)
-            # k = 0 is a complete "no"; every later decision replays it
-            assert [done for dist, done in walks if dist is kept] == [True]
-
-    def test_replay_builds_no_adjacency(self):
-        dist = all_pairs_distances(cycle(8))
-        assert not solve_bruteforce(MespQuery(cycle(8), dist, 1)).decision
-        twin = cycle(8)
-        assert solve_bruteforce(MespQuery(twin, dist, 2)).decision
-        assert "adjacency" not in vars(twin)
+                noes.append(not fresh.decision)
+            # nothing is replayed: every decision walks, to the end on a "no"
+            assert [done for dist, done in walks if dist is kept] == noes
 
     def test_caps_hold_on_a_recorded_walk(self, monkeypatch):
         walks = _count_walks(monkeypatch)
@@ -170,37 +167,53 @@ class TestRecordedWalk:
             solve_bruteforce(MespQuery(GRID_6X6, dist, 0), path_cap=4096)
         with pytest.raises(CapacityError):
             solve_bruteforce(MespQuery(GRID_6X6, dist, 0), time_limit=0.0)
-        assert [done for _, done in walks] == [True]
-
-    def test_kept_only_within_the_cap(self, monkeypatch):
-        pushes = sum(1 for _ in enumerate_shortest_paths(GRID_6X6))
-        walks = _count_walks(monkeypatch)
-        for cap, starts in ((pushes, 1), (pushes - 1, 3)):
-            monkeypatch.setattr("mesp.solvers.BRUTE_PATH_CAP", cap)
-            walks.clear()
-            dist = all_pairs_distances(GRID_6X6)
-            for _ in range(3):
-                assert solve_bruteforce(MespQuery(GRID_6X6, dist, 0)).stats.paths_checked == pushes
-            assert len(walks) == starts
-
-    def test_long_walk_not_kept_answers_unchanged(self, monkeypatch):
-        monkeypatch.setattr("mesp.solvers.BRUTE_PATH_CAP", 64)
-        walks = _count_walks(monkeypatch)
-        for g in list(_replay_graphs())[::3]:
-            shared = all_pairs_distances(g)
-            ks = range(max(map(shared.eccentricity, range(g.n))) + 1)
-            for k in ks:
-                fresh = solve_bruteforce(MespQuery(g, all_pairs_distances(g), k))
-                assert _outcome(solve_bruteforce(MespQuery(g, shared, k))) == _outcome(fresh)
-            # every decision on the shared matrix walked live again
-            assert sum(dist is shared for dist, _ in walks) == len(ks)
+        assert [done for _, done in walks] == [True, False, False]
 
     def test_minimize_walks_to_completion_once(self, monkeypatch):
         walks = _count_walks(monkeypatch)
         g, _ = gen_subdivided_core(10, 12, 60, random.Random(3))
         k, witness = minimize_k(Instance(g))
-        assert sum(done for _, done in walks) == 1
+        assert [done for _, done in walks] == [True]
         assert witness.eccentricity(all_pairs_distances(g)) == k
+
+    def test_one_walk_matches_binary_search(self, monkeypatch):
+        walks = _count_walks(monkeypatch)
+        for g in _replay_graphs():
+            dist = all_pairs_distances(g)
+            center = min(range(g.n), key=dist.eccentricity)
+            lo, hi, best = 0, dist.eccentricity(center), (center,)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                answer = solve_bruteforce(MespQuery(g, dist, mid))
+                if answer.decision:
+                    hi, best = mid, answer.witness.vertices
+                else:
+                    lo = mid + 1
+            walks.clear()
+            k, witness = minimize_k(Instance(g, dist), "brute")
+            assert (k, witness.vertices) == (lo, best), list(g.edges())
+            assert len(walks) == 1
+
+    def test_path_cap_covers_the_minimizing_walk(self, monkeypatch):
+        # auto over budget runs brute force under the cap, counted over the
+        # whole walk, not per target
+        monkeypatch.setattr("mesp.solvers.SOLVE_BUDGET", 1)
+        monkeypatch.setattr("mesp.solvers.BRUTE_PATH_CAP", 4096)
+        with pytest.raises(CapacityError):
+            minimize_k(Instance(GRID_6X6))
+        # the 4x7 grid numbered outwards from its centre walks 4,648 paths,
+        # with at most 3,766 between two paths found
+        grid = _grid(4, 7)
+        rows = all_pairs_distances(grid).rows
+        centre = min(range(28), key=lambda v: max(rows[v]))
+        label = {v: i for i, v in enumerate(sorted(range(28), key=rows[centre].__getitem__))}
+        numbered = Graph(28, [(label[a], label[b]) for a, b in grid.edges()])
+        assert sum(1 for _ in enumerate_shortest_paths(numbered)) == 4648
+        with pytest.raises(CapacityError):
+            minimize_k(Instance(numbered))
+        k, witness = minimize_k(Instance(cycle(8)))
+        assert k == oracles.mesp_min_k(8, list(cycle(8).edges()))
+        assert witness.eccentricity(all_pairs_distances(cycle(8))) == k
 
 
 class TestModularWidth:
@@ -364,6 +377,16 @@ class TestAtRealisticSizes:
                 got = decide(inst, k, "cluster")
                 assert got.decision == decide(inst, k, "brute").decision, (list(g.edges()), k)
                 assert got.stats.params["p"] <= mod.size
+
+    def test_mw_on_substitution(self):
+        rng = random.Random(33)
+        graphs = [gen_substitution(rng.randint(15, 60), 6, rng)[0] for _ in range(40)]
+        assert max(g.n for g in graphs) >= 50
+        for g in graphs:
+            inst = Instance(g)
+            for k in range(_radius(inst) + 1):
+                got = decide(inst, k, "mw")
+                assert got.decision == decide(inst, k, "brute").decision, (list(g.edges()), k)
 
     def test_paths_on_paths_plus_c(self):
         rng = random.Random(32)
@@ -640,6 +663,14 @@ def test_canonical_order_matches_oracle(data):
             assert got.witness.vertices == want[first]
             assert got.stats.paths_checked == first + 1
             assert got.witness.eccentricity(dist) == eccs[first]
+    # the one descending walk stops at the first path of the least eccentricity
+    k_star, witness = minimize_k(Instance(g, dist), "brute")
+    radius = min(map(max, rows))
+    assert k_star == min(eccs)
+    if k_star < radius:
+        assert witness.vertices == want[eccs.index(k_star)]
+    else:
+        assert witness.vertices == (min(range(n), key=lambda v: max(rows[v])),)
 
 
 def test_path_graph_order_helper():
