@@ -14,11 +14,9 @@ not to all 2^r subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from .errors import CapacityError
 
 DEFAULT_R_CAP = 26
-DEFAULT_BRUTE_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -54,12 +52,6 @@ class CscSolution:
 
     def candidates(self, inst: CscInstance) -> tuple[Candidate, ...]:
         return tuple(inst.groups[i][ci] for i, ci in enumerate(self.indices))
-
-    def covered_mask(self, inst: CscInstance) -> int:
-        got = 0
-        for i, ci in enumerate(self.indices):
-            got |= inst.groups[i][ci].mask
-        return got
 
 
 def dp_layers(inst: CscInstance) -> list[dict[int, tuple[int, int] | None]]:
@@ -108,21 +100,3 @@ def solve_csc(inst: CscInstance) -> CscSolution | None:
     """Return one selection covering all requirements, or None if infeasible."""
     return reconstruct_selection(dp_layers(inst), (1 << inst.r) - 1)
 
-
-def solve_csc_bruteforce(
-    inst: CscInstance, work_cap: int = DEFAULT_BRUTE_CAP
-) -> CscSolution | None:
-    """Reference solver: try every tuple of candidates in lexicographic order."""
-    work = 1
-    for group in inst.groups:
-        work *= len(group)
-        if work > work_cap:
-            raise CapacityError(f"brute-force work {work} exceeds cap {work_cap}")
-    full = (1 << inst.r) - 1
-    for combo in product(*(range(len(g)) for g in inst.groups)):
-        got = 0
-        for i, ci in enumerate(combo):
-            got |= inst.groups[i][ci].mask
-        if got == full:
-            return CscSolution(tuple(combo))
-    return None

@@ -49,10 +49,6 @@ def gen_random_connected(n: int, m: int, rng: random.Random) -> Graph:
     return Graph(n, sorted(edges))
 
 
-def gen_tree(n: int, rng: random.Random) -> Graph:
-    return gen_random_connected(n, n - 1, rng)
-
-
 def gen_cluster_plus_p(n: int, p: int, rng: random.Random) -> tuple[Graph, Modulator]:
     """Disjoint cliques plus ``p`` extra vertices wired to keep the graph
     connected; the extra vertices are a valid cluster modulator."""

@@ -285,9 +285,6 @@ class DistanceMatrix:
         self._ecc = ecc
         self._cover: dict[int, list[int]] = {}
 
-    def d(self, u: int, v: int) -> int:
-        return self.rows[u][v]
-
     def eccentricity(self, v: int) -> int:
         return self._ecc[v]
 
@@ -310,31 +307,12 @@ def all_pairs_distances(graph: Graph) -> DistanceMatrix:
     return DistanceMatrix(graph)
 
 
-def dist_to_set(dist: DistanceMatrix, v: int, vertices: Iterable[int]) -> int:
-    """d(v, S) = min over s in S of d(v, s).  S must be non-empty."""
-    best = None
-    row = dist.rows[v]
-    for s in vertices:
-        x = row[s]
-        if best is None or x < best:
-            best = x
-    if best is None:
-        raise ValueError("distance to an empty set is undefined")
-    return best
-
-
 def eccentricity_of_set(dist: DistanceMatrix, vertices: Iterable[int]) -> int:
     """max over all v of d(v, S): how far the worst vertex is from the set S."""
     vs = list(vertices)
     if not vs:
         raise ValueError("eccentricity of an empty set is undefined")
     return max(map(min, zip(*(dist.rows[s] for s in vs))))
-
-
-def closed_k_neighborhood(dist: DistanceMatrix, v: int, k: int) -> tuple[int, ...]:
-    """All vertices at distance at most k from v, in increasing order."""
-    row = dist.rows[v]
-    return tuple(u for u in range(dist.n) if row[u] <= k)
 
 
 # ---------------------------------------------------------------------------
@@ -429,30 +407,12 @@ def is_shortest_path(graph: Graph, dist: DistanceMatrix, vertices: Sequence[int]
     return dist.rows[vertices[0]][vertices[-1]] == t - 1
 
 
-def path_within_ecc(dist: DistanceMatrix, vertices: Sequence[int], k: int) -> bool:
-    """True iff every vertex of the graph is within distance k of the path."""
-    cover = dist.coverage_masks(k)
-    got = 0
-    for v in vertices:
-        got |= cover[v]
-    return got == (1 << dist.n) - 1
-
-
 @dataclass(frozen=True)
 class PathWitness:
     """A path presented as evidence: ordered distinct vertices, consecutive
     ones adjacent, total length equal to the endpoint distance."""
 
     vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        """Number of edges."""
-        return len(self.vertices) - 1
-
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return self.vertices[0], self.vertices[-1]
 
     def is_valid(self, graph: Graph, dist: DistanceMatrix) -> bool:
         return is_shortest_path(graph, dist, self.vertices)

@@ -122,31 +122,21 @@ def _branch_cluster(first_p3, removed: int, budget: int) -> int | None:
     return None
 
 
-def _cluster_modulator(graph: Graph, budgets: Iterable[int]) -> Modulator | None:
-    """The deletion set found at the first of ``budgets`` that admits one.
-    All budgets share one memo of ``_first_p3`` by removed mask, so no set
-    is scanned twice, whether a shallower tree or another branch order
-    reached it first."""
-    first_p3 = lru_cache(maxsize=None)(partial(_first_p3, graph))
-    for budget in budgets:
-        got = _branch_cluster(first_p3, 0, budget)
-        if got is not None:
-            return Modulator(CLUSTER, frozenset(_bits(got)))
-    return None
-
-
-def find_cluster_modulator(graph: Graph, budget: int) -> Modulator | None:
-    """A deletion set of size <= budget leaving a cluster graph, or None."""
-    return _cluster_modulator(graph, [budget])
-
-
 def minimum_cluster_modulator(graph: Graph, cap: int | None = None) -> Modulator | None:
     """Smallest cluster modulator, budgets tried in increasing order.
 
     With a cap, gives up (returns None) once the budget would exceed it.
+    All budgets share one memo of ``_first_p3`` by removed mask, so no set
+    is scanned twice, whether a shallower tree or another branch order
+    reached it first.
     """
     top = graph.n if cap is None else min(cap, graph.n)
-    return _cluster_modulator(graph, range(top + 1))
+    first_p3 = lru_cache(maxsize=None)(partial(_first_p3, graph))
+    for budget in range(top + 1):
+        got = _branch_cluster(first_p3, 0, budget)
+        if got is not None:
+            return Modulator(CLUSTER, frozenset(_bits(got)))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -250,25 +240,8 @@ class MDNode:
                 mask |= ch.mask
         object.__setattr__(self, "mask", mask)
 
-    def vertex_mask(self) -> int:
-        return self.mask
-
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(_bits(self.mask))
-
     def min_vertex(self) -> int:
         return (self.mask & -self.mask).bit_length() - 1
-
-
-def is_module(graph: Graph, vertices: Iterable[int]) -> bool:
-    """True iff every vertex outside the set sees all of it or none of it."""
-    mk = _mask_of(vertices)
-    full = (1 << graph.n) - 1
-    for v in _bits(full & ~mk):
-        inter = graph.adj_mask[v] & mk
-        if inter and inter != mk:
-            return False
-    return True
 
 
 def modular_decomposition(graph: Graph) -> MDNode:
@@ -404,37 +377,3 @@ def modular_width(node: MDNode) -> int:
     """Largest child count over prime nodes; 0 when the tree has none."""
     return max((len(nd.children) for nd in _nodes(node) if nd.kind == "prime"), default=0)
 
-
-def mdtree_to_sexpr(node: MDNode) -> str:
-    out = []
-    stack: list[MDNode | str] = [node]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif item.kind == "leaf":
-            out.append(f"(leaf {item.vertex})")
-        else:
-            out.append(f"({item.kind} ")
-            # pushed in reverse, so the children pop in order before the ")"
-            stack.append(")")
-            for i, ch in enumerate(reversed(item.children)):
-                if i:
-                    stack.append(" ")
-                stack.append(ch)
-    return "".join(out)
-
-
-def expand_mdtree(node: MDNode) -> set[tuple[int, int]]:
-    """Edge set the tree describes, for checking it reproduces the graph."""
-    edges: set[tuple[int, int]] = set()
-    for nd in _nodes(node):
-        for i, j in combinations(range(len(nd.children)), 2):
-            joined = nd.kind == "join" or (
-                nd.kind == "prime" and nd.pattern.has_edge(i, j)
-            )
-            if joined:
-                for u in _bits(nd.children[i].mask):
-                    for v in _bits(nd.children[j].mask):
-                        edges.add((min(u, v), max(u, v)))
-    return edges

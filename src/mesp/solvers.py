@@ -85,10 +85,6 @@ class MespQuery:
         if self.k < 0:
             raise ValueError(f"desired eccentricity must be >= 0, got {self.k}")
 
-    @classmethod
-    def from_graph(cls, graph: Graph, k: int, dist: DistanceMatrix | None = None) -> "MespQuery":
-        return cls(graph, dist if dist is not None else all_pairs_distances(graph), k)
-
 
 @dataclass(frozen=True)
 class MespAnswer:
@@ -214,8 +210,8 @@ def solve_bruteforce(
 # modular width
 
 
-def solve_modular_width(query: MespQuery, tree: MDNode | None = None) -> MespAnswer:
-    """Decide MESP through the modular decomposition of the graph.
+def solve_modular_width(query: MespQuery, tree: MDNode) -> MespAnswer:
+    """Decide MESP through ``tree``, the modular decomposition of the graph.
 
     Join root: a path graph is its own eccentricity-0 witness; otherwise any
     edge across two join parts has eccentricity 1.  Prime root: some optimal
@@ -226,8 +222,6 @@ def solve_modular_width(query: MespQuery, tree: MDNode | None = None) -> MespAns
     t0 = time.perf_counter()
     stats = SolveStats(solver="mw")
     graph, dist, k = query.graph, query.dist, query.k
-    if tree is None:
-        tree = modular_decomposition(graph)
     if tree.kind == "union":
         raise DisconnectedGraphError("decomposition root is a disjoint union")
     if tree.kind == "leaf":
@@ -309,21 +303,14 @@ def _splice(adj, pi, interiors) -> tuple[int, ...]:
     return tuple(path)
 
 
-def _solve_with_modulator(query: MespQuery, modulator: Modulator | None, search) -> MespAnswer:
-    """The modulator solvers' scaffold: find or check the modulator, settle
-    k = 0 and k >= radius, then run ``search`` (a search class)."""
+def _solve_with_modulator(query: MespQuery, modulator: Modulator, search) -> MespAnswer:
+    """The modulator solvers' scaffold: check the modulator, settle k = 0 and
+    k >= radius, then run ``search`` (a search class)."""
     t0 = time.perf_counter()
     stats = SolveStats(solver=search.solver)
-    graph = query.graph
-    if modulator is None:
-        find = (
-            minimum_cluster_modulator if search.kind == CLUSTER
-            else minimum_disjoint_paths_modulator
-        )
-        modulator = find(graph)
     if modulator.kind != search.kind:
         raise ValueError(f"expected a {search.kind} modulator, got kind {modulator.kind!r}")
-    if not modulator_is_valid(graph, modulator):
+    if not modulator_is_valid(query.graph, modulator):
         raise ValueError(f"deletion set does not leave a disjoint union of {search.residual}")
     stats.params[search.param] = modulator.size
     settled = _settled(query, stats, t0)
@@ -585,8 +572,8 @@ class _ClusterSearch:
         return None
 
 
-def solve_distance_to_cluster(query: MespQuery, modulator: Modulator | None = None) -> MespAnswer:
-    """Decide MESP by guessing how the path meets a cluster modulator.
+def solve_distance_to_cluster(query: MespQuery, modulator: Modulator) -> MespAnswer:
+    """Decide MESP by guessing how the path meets the cluster ``modulator``.
 
     With the modulator empty the graph is a single clique; k = 0 reduces to
     "is G a path graph" for every input.
@@ -785,11 +772,9 @@ class _DisjointPathsSearch:
         return _splice(self.adj, pi, [c.payload for c in sol.candidates(inst)])
 
 
-def solve_distance_to_disjoint_paths(
-    query: MespQuery, modulator: Modulator | None = None
-) -> MespAnswer:
+def solve_distance_to_disjoint_paths(query: MespQuery, modulator: Modulator) -> MespAnswer:
     """Decide MESP by guessing endpoints, on-path modulator vertices and
-    distance estimates over a disjoint-paths modulator."""
+    distance estimates over the disjoint-paths ``modulator``."""
     return _solve_with_modulator(query, modulator, _DisjointPathsSearch)
 
 
@@ -922,8 +907,13 @@ def decide(inst: Instance, k: int, solver: str = "auto") -> MespAnswer:
     """Decide MESP at ``k`` with the solver named ``solver`` (SOLVER_NAMES).
 
     ``auto`` runs the cheapest solver by estimate and reports it as
-    ``auto:<name>`` with the parameters it built to price it.
+    ``auto:<name>`` with the parameters it built to price it.  A negative
+    ``k`` or an unknown name raises ValueError before anything is built.
     """
+    if k < 0:
+        raise ValueError(f"desired eccentricity must be >= 0, got {k}")
+    if solver not in SOLVER_NAMES:
+        raise ValueError(f"unknown solver {solver!r}")
     pick, priced, cap, path_cap = _plan(inst, k, solver)
     query = MespQuery(inst.graph, inst.dist, k)
     if pick == "brute":
@@ -932,10 +922,8 @@ def decide(inst: Instance, k: int, solver: str = "auto") -> MespAnswer:
         answer = solve_modular_width(query, inst.decomposition)
     elif pick == "cluster":
         answer = solve_distance_to_cluster(query, inst.modulator(CLUSTER, cap))
-    elif pick == "paths":
-        answer = solve_distance_to_disjoint_paths(query, inst.modulator(DISJOINT_PATHS, cap))
     else:
-        raise ValueError(f"unknown solver {solver!r}")
+        answer = solve_distance_to_disjoint_paths(query, inst.modulator(DISJOINT_PATHS, cap))
     if priced is not None:
         answer.stats.solver = f"auto:{pick}"
         answer.stats.params.update(priced)
@@ -958,7 +946,10 @@ def minimize_k(inst: Instance, solver: str = "auto") -> tuple[int, PathWitness]:
     ``_covering_paths`` walk from radius - 1, under the pick's path cap,
     lowers k* by one per path found, and the last is re-verified.  Any other
     pick binary-searches [0, radius] (a witness for k is one for k + 1).
+    An unknown solver name raises ValueError before anything is built.
     """
+    if solver not in SOLVER_NAMES:
+        raise ValueError(f"unknown solver {solver!r}")
     pick = path_cap = None
     if inst.graph.n > 1:
         pick, _, _, path_cap = _plan(inst, 1, solver)

@@ -15,14 +15,12 @@ from mesp import (
     MespQuery,
     all_pairs_distances,
     eccentricity_of_set,
-    expand_mdtree,
     minimum_cluster_modulator,
     minimum_disjoint_paths_modulator,
     modular_decomposition,
     modulator_is_valid,
     solve_bruteforce,
     solve_csc,
-    solve_csc_bruteforce,
     solve_distance_to_cluster,
     solve_distance_to_disjoint_paths,
     solve_modular_width,
@@ -36,6 +34,7 @@ from mesp.generators import (
 )
 
 import oracles
+from mdtree import expand_mdtree
 from test_modulators import _check_tree
 
 INF = 10**9
@@ -127,11 +126,13 @@ def test_c3_csc_against_bruteforce():
             ),
         )
         sol = solve_csc(inst)
-        brute = solve_csc_bruteforce(inst)
-        assert (sol is None) == (brute is None)
+        masks = [[c.mask for c in group] for group in inst.groups]
+        assert (sol is not None) == oracles.csc_feasible(r, masks)
         if sol is not None:
-            assert sol.covered_mask(inst) == (1 << r) - 1
-            assert brute.covered_mask(inst) == (1 << r) - 1
+            got = 0
+            for cand in sol.candidates(inst):
+                got |= cand.mask
+            assert got == (1 << r) - 1
             feasible += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60
@@ -252,7 +253,7 @@ def test_c7_structural_spot_suite():
         rows = oracles.distance_rows(n, edges)
         paths = oracles.all_shortest_paths(n, edges)
         best = min(oracles.path_ecc(rows, p) for p in paths)
-        masks = [ch.vertex_mask() for ch in tree.children]
+        masks = [ch.mask for ch in tree.children]
         for p in paths:
             if oracles.path_ecc(rows, p) != best:
                 continue
@@ -312,7 +313,8 @@ def test_c8_performance_smoke():
     # substitution family: n=200, pattern size <= 8
     g, _bound = gen_substitution(200, 8, rng)
     t1 = time.perf_counter()
-    k_star, dist = search_k_star(g, solve_modular_width)
+    tree = modular_decomposition(g)
+    k_star, dist = search_k_star(g, lambda q: solve_modular_width(q, tree))
     t_mw = time.perf_counter() - t1
     assert t_mw < 10, t_mw
     brute_compare(g, dist, k_star, t_mw, f"substitution n=200 k*={k_star}")

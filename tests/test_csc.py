@@ -1,4 +1,4 @@
-"""Constrained set cover: DP layers, reconstruction, brute-force agreement."""
+"""Constrained set cover: DP layers, reconstruction, oracle agreement."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mesp import CapacityError, Candidate, CscInstance, solve_csc, solve_csc_bruteforce
+from mesp import CapacityError, Candidate, CscInstance, solve_csc
 from mesp.csc import dp_layers, reconstruct_selection
 
 import oracles
@@ -22,15 +22,19 @@ def inst(r, *groups):
     )
 
 
-def selected_masks(instance, sol):
-    return [c.mask for c in sol.candidates(instance)]
+def covered(instance, sol):
+    """The OR of the selected candidates' masks."""
+    got = 0
+    for cand in sol.candidates(instance):
+        got |= cand.mask
+    return got
 
 
 class TestExamples:
     def test_two_singletons(self):
         sol = solve_csc(inst(2, [0b01], [0b10]))
         assert sol.indices == (0, 0)
-        assert sol.covered_mask(inst(2, [0b01], [0b10])) == 0b11
+        assert covered(inst(2, [0b01], [0b10]), sol) == 0b11
 
     def test_second_candidate_needed(self):
         sol = solve_csc(inst(1, [0b0, 0b1]))
@@ -41,9 +45,8 @@ class TestExamples:
         instance = inst(3, [0b011, 0b110], [0b100, 0b001])
         sol = solve_csc(instance)
         assert sol.indices in ((0, 0), (1, 1))
-        assert sol.covered_mask(instance) == 0b111
-        brute = solve_csc_bruteforce(instance)
-        assert brute.indices in ((0, 0), (1, 1))
+        assert covered(instance, sol) == 0b111
+        assert oracles.csc_feasible(3, [[0b011, 0b110], [0b100, 0b001]])
 
     def test_vacuous(self):
         sol = solve_csc(inst(0))
@@ -51,7 +54,7 @@ class TestExamples:
 
     def test_uncoverable(self):
         assert solve_csc(inst(2, [0b01])) is None
-        assert solve_csc_bruteforce(inst(2, [0b01])) is None
+        assert not oracles.csc_feasible(2, [[0b01]])
 
     def test_empty_group_infeasible(self):
         assert solve_csc(inst(1, [])) is None
@@ -59,11 +62,6 @@ class TestExamples:
     def test_r_cap(self):
         with pytest.raises(CapacityError):
             solve_csc(inst(30, [1]))
-
-    def test_brute_work_cap(self):
-        big = inst(1, *[[0, 1, 1, 1]] * 12)
-        with pytest.raises(CapacityError):
-            solve_csc_bruteforce(big, work_cap=1000)
 
 
 class TestLayers:
@@ -92,7 +90,7 @@ class TestLayers:
                     want = any(cov & q == q for cov in unions)
                     assert (sel is not None) == want, (groups, i, q)
                     if sel is not None:
-                        assert sel.covered_mask(prefix) & q == q, (groups, i, q)
+                        assert covered(prefix, sel) & q == q, (groups, i, q)
 
     def test_layers_hold_only_reachable_sets(self):
         # r = 20 but only halves and their union are ever covered
@@ -101,17 +99,14 @@ class TestLayers:
         instance = inst(20, *[[low, high]] * 3)
         layers = dp_layers(instance)
         assert all(len(layer) <= 4 for layer in layers)
-        assert solve_csc(instance).covered_mask(instance) == (1 << 20) - 1
+        assert covered(instance, solve_csc(instance)) == (1 << 20) - 1
 
     def test_target_reconstruction(self):
         instance = inst(3, [0b011, 0b110], [0b100, 0b001])
         layers = dp_layers(instance)
         # partial targets are reachable even when smaller than full cover
         sol = reconstruct_selection(layers, 0b010)
-        got = 0
-        for mask in selected_masks(instance, sol):
-            got |= mask
-        assert got & 0b010 == 0b010
+        assert covered(instance, sol) & 0b010 == 0b010
 
     def test_reversed_candidate_order_same_feasibility(self):
         rng = random.Random(6)
@@ -150,5 +145,5 @@ def test_feasibility_matches_oracle(data):
     sol = solve_csc(instance)
     assert (sol is not None) == oracles.csc_feasible(r, groups)
     if sol is not None:
-        assert sol.covered_mask(instance) == (1 << r) - 1
+        assert covered(instance, sol) == (1 << r) - 1
 

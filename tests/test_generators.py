@@ -9,7 +9,6 @@ from mesp.generators import (
     gen_random_connected,
     gen_subdivided_core,
     gen_substitution,
-    gen_tree,
 )
 
 
@@ -29,7 +28,7 @@ def test_random_connected_counts():
 def test_tree():
     rng = random.Random(2)
     for n in (1, 2, 7, 25):
-        g = gen_tree(n, rng)
+        g = gen_random_connected(n, n - 1, rng)
         assert g.n == n and g.m == n - 1
 
 

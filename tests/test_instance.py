@@ -76,6 +76,20 @@ def test_unknown_solver():
         decide(Instance(gen_substitution(8, 6, random.Random(0))[0]), 1, "nope")
 
 
+def test_bad_input_is_rejected_before_any_build(build_counts):
+    inst = Instance(gen_substitution(250, 6, random.Random(3))[0])
+    for solver in SOLVER_NAMES:
+        with pytest.raises(ValueError, match="eccentricity"):
+            decide(inst, -1, solver)
+    with pytest.raises(ValueError, match="unknown solver"):
+        decide(inst, 1, "bogus")
+    with pytest.raises(ValueError, match="unknown solver"):
+        minimize_k(inst, "bogus")
+    # nothing was built: no table, no decomposition, no modulator search
+    assert build_counts == {}
+    assert inst._dist is None and inst._tree is None and not inst._modulators
+
+
 @pytest.fixture
 def build_counts(monkeypatch):
     """Calls of each structural-parameter builder, and BFS distance tables

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -13,11 +14,7 @@ from mesp import (
     Graph,
     MDNode,
     Modulator,
-    expand_mdtree,
-    find_cluster_modulator,
     find_disjoint_paths_modulator,
-    is_module,
-    mdtree_to_sexpr,
     minimum_cluster_modulator,
     minimum_disjoint_paths_modulator,
     modular_decomposition,
@@ -28,9 +25,10 @@ from mesp import (
 )
 from mesp.cli import main
 from mesp.generators import gen_cluster_plus_p, gen_subdivided_core, gen_substitution
-from mesp.modulators import _first_p3
+from mesp.modulators import _branch_cluster, _first_p3
 
 import oracles
+from mdtree import expand_mdtree, mdtree_to_sexpr
 from smallgraphs import connected_catalog, edges_of
 from test_graph import complete, cycle, path, random_connected
 
@@ -45,21 +43,21 @@ PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
 
 class TestClusterModulator:
     def test_complete_graph_needs_nothing(self):
-        mod = find_cluster_modulator(complete(4), 0)
+        mod = minimum_cluster_modulator(complete(4), 0)
         assert mod is not None and mod.vertices == frozenset()
 
     def test_p4_internal_vertex(self):
-        mod = find_cluster_modulator(path(4), 1)
+        mod = minimum_cluster_modulator(path(4), 1)
         assert mod is not None
         assert mod.vertices in (frozenset({1}), frozenset({2}))
 
     def test_paw(self):
-        mod = find_cluster_modulator(PAW, 1)
+        mod = minimum_cluster_modulator(PAW, 1)
         assert mod is not None and mod.vertices == frozenset({0})
 
     def test_budget_too_small(self):
         # P4 has an induced P3, so the empty set never works
-        assert find_cluster_modulator(path(4), 0) is None
+        assert minimum_cluster_modulator(path(4), 0) is None
 
     def test_minimum_with_cap(self):
         assert minimum_cluster_modulator(path(7), cap=0) is None
@@ -109,7 +107,8 @@ class TestClusterModulator:
             mod = minimum_cluster_modulator(g)
             assert len(scanned) == len(set(scanned))
             # the memo changes no answer: the same set as the budget alone
-            assert mod == find_cluster_modulator(g, mod.size)
+            alone = _branch_cluster(partial(_first_p3, g), 0, mod.size)
+            assert mod.vertices == frozenset(_mask_verts(alone))
 
 
 class TestDisjointPathsModulator:
@@ -224,16 +223,6 @@ class TestModularDecomposition:
             g = random_connected(rng, n, rng.randint(n - 1, n * (n - 1) // 2))
         _check_children_oracle(g, modular_decomposition(g))
 
-    def test_modules_enumerated_match_oracle(self):
-        # every child of every node is a module; cross-check the predicate
-        # itself against the independent enumeration on a few graphs
-        for g in (path(4), cycle(5), complete(4), PAW):
-            edges = list(g.edges())
-            want = oracles.all_modules(g.n, edges)
-            for size in range(1, g.n + 1):
-                for sub in combinations(range(g.n), size):
-                    assert is_module(g, sub) == (frozenset(sub) in want)
-
     def test_sexpr(self):
         t = MDNode(
             "join",
@@ -320,10 +309,11 @@ def _check_tree(g: Graph, node: MDNode) -> None:
     if node.kind == "leaf":
         return
     assert len(node.children) >= 2
-    masks = [ch.vertex_mask() for ch in node.children]
-    inside = node.vertex_mask()
+    adj = oracles.adjacency(g.n, g.edges())
+    masks = [ch.mask for ch in node.children]
+    inside = node.mask
     for mk, ch in zip(masks, node.children):
-        assert is_module(g, ch.vertices()), mdtree_to_sexpr(node)
+        assert oracles.is_module(adj, set(_mask_verts(mk))), mdtree_to_sexpr(node)
         _check_tree(g, ch)
     for i, j in combinations(range(len(masks)), 2):
         cross = any(
@@ -359,14 +349,14 @@ def _check_children_oracle(g: Graph, root: MDNode) -> None:
         stack.extend(node.children)
         if node.kind == "leaf":
             continue
-        members = set(node.vertices())
+        members = set(_mask_verts(node.mask))
         if node.kind == "union":
             want = {frozenset(c) for c in oracles.components(g.n, edges, members)}
         elif node.kind == "join":
             want = {frozenset(c) for c in oracles.components(g.n, non_edges, members)}
         else:
             want = oracles.maximal_proper_modules(g.n, edges, members)
-        got = {frozenset(ch.vertices()) for ch in node.children}
+        got = {frozenset(_mask_verts(ch.mask)) for ch in node.children}
         assert got == want, (node.kind, mdtree_to_sexpr(node))
 
 

@@ -22,8 +22,6 @@ from mesp import (
     all_pairs_distances,
     decide,
     minimize_k,
-    minimum_cluster_modulator,
-    minimum_disjoint_paths_modulator,
     modular_decomposition,
     path_graph_order,
     solve_auto,
@@ -68,7 +66,7 @@ GRID_6X6 = _grid(6, 6)
 
 
 def q(graph: Graph, k: int) -> MespQuery:
-    return MespQuery.from_graph(graph, k)
+    return MespQuery(graph, all_pairs_distances(graph), k)
 
 
 def brute_decision(graph: Graph, k: int) -> bool:
@@ -218,18 +216,19 @@ class TestRecordedWalk:
 
 class TestModularWidth:
     def test_c4_crossing_edge(self):
-        ans = solve_modular_width(q(cycle(4), 1))
+        ans = decide(Instance(cycle(4)), 1, "mw")
         assert ans.decision
         u, v = ans.witness.vertices
         assert cycle(4).has_edge(u, v)
 
     def test_p3_whole_path(self):
-        ans = solve_modular_width(q(path(3), 0))
+        ans = decide(Instance(path(3)), 0, "mw")
         assert ans.decision and len(ans.witness.vertices) == 3
 
     def test_substituted_c5_matches_brute(self):
+        inst = Instance(C5_SUB_K2)
         for k in range(4):
-            got = solve_modular_width(q(C5_SUB_K2, k)).decision
+            got = decide(inst, k, "mw").decision
             assert got == brute_decision(C5_SUB_K2, k), k
 
     def test_union_root_rejected(self):
@@ -237,16 +236,16 @@ class TestModularWidth:
             "union", children=(MDNode("leaf", vertex=0), MDNode("leaf", vertex=1))
         )
         with pytest.raises(DisconnectedGraphError):
-            solve_modular_width(q(complete(2), 1), tree=fake)
+            solve_modular_width(q(complete(2), 1), fake)
 
     def test_single_vertex(self):
-        ans = solve_modular_width(q(Graph(1, []), 0))
+        ans = decide(Instance(Graph(1, [])), 0, "mw")
         assert ans.decision and ans.witness.vertices == (0,)
 
     def test_explicit_tree_reused(self):
         g = cycle(5)
         tree = modular_decomposition(g)
-        assert solve_modular_width(q(g, 1), tree=tree).decision
+        assert solve_modular_width(q(g, 1), tree).decision
 
 
 class TestClusterSolver:
@@ -282,8 +281,9 @@ class TestClusterSolver:
 
     def test_c6_all_k(self):
         g = cycle(6)
+        inst = Instance(g)
         for k in range(4):
-            got = solve_distance_to_cluster(q(g, k)).decision
+            got = decide(inst, k, "cluster").decision
             assert got == brute_decision(g, k), k
 
     def test_random_matches_brute(self):
@@ -292,7 +292,7 @@ class TestClusterSolver:
             n = rng.randint(4, 9)
             g = random_connected(rng, n, rng.randint(n - 1, n * (n - 1) // 2))
             k = rng.randint(0, 3)
-            got = solve_distance_to_cluster(q(g, k)).decision
+            got = decide(Instance(g), k, "cluster").decision
             assert got == brute_decision(g, k), (list(g.edges()), k)
 
 
@@ -326,7 +326,7 @@ class TestDisjointPathsSolver:
             n = rng.randint(4, 9)
             g = random_connected(rng, n, rng.randint(n - 1, n * (n - 1) // 2))
             k = rng.randint(0, 3)
-            got = solve_distance_to_disjoint_paths(q(g, k)).decision
+            got = decide(Instance(g), k, "paths").decision
             assert got == brute_decision(g, k), (list(g.edges()), k)
 
     def test_paths_plus_c_matches_brute(self):
@@ -401,6 +401,23 @@ class TestAtRealisticSizes:
                 got = decide(inst, k, "paths")
                 assert got.decision == decide(inst, k, "brute").decision, (list(g.edges()), k)
                 assert got.stats.params["c"] <= c
+
+    def test_paths_on_subdivided_core(self):
+        rng = random.Random(34)
+        graphs = []
+        for _ in range(30):
+            core_n = rng.randint(4, 6)
+            core_m = rng.randint(core_n, core_n + 2)
+            graphs.append(gen_subdivided_core(core_n, core_m, rng.randint(15, 59), rng)[0])
+        assert max(g.n for g in graphs) >= 50
+        widest = 0
+        for g in graphs:
+            inst = Instance(g)
+            for k in range(_radius(inst) + 1):
+                got = decide(inst, k, "paths")
+                assert got.decision == decide(inst, k, "brute").decision, (list(g.edges()), k)
+                widest = max(widest, got.stats.params["c"])
+        assert widest >= 3
 
 
 def _screen_cases(kind: str):
