@@ -169,26 +169,35 @@ def cmd_verify(args) -> int:
     return 0 if good else 1
 
 
-def _bench_instances(args):
-    rng = random.Random(args.seed)
-    for spec in args.sizes:
-        parts = [int(tok) for tok in spec.split(":")]
-        if args.family == "cluster-plus-p":
-            n, p = parts
-            graph, _ = gen_cluster_plus_p(n, p, rng)
-            yield spec, graph, "cluster", {"p": p}
-        elif args.family == "subdivided-core":
-            core_n, core_m, n = parts
-            graph, info = gen_subdivided_core(core_n, core_m, n, rng)
-            yield spec, graph, "brute", info
-        elif args.family == "substitution":
-            n, cap = parts
-            graph, bound = gen_substitution(n, cap, rng)
-            yield spec, graph, "mw", {"mw_bound": bound}
-        else:
-            n, m = parts
-            graph = gen_random_connected(n, m, rng)
-            yield spec, graph, "auto", {}
+# the columns of a bench row, in CSV order
+BENCH_COLUMNS = (
+    "family", "spec", "seed", "generator_version", "digest", "n", "m", "params", "solver",
+    "k_star", "witness_len", "solve_seconds", "oracle_seconds", "oracle_agrees", "error",
+)
+# each bench family's size spec, and the solver its rows run
+BENCH_FAMILIES = {
+    "cluster-plus-p": ("n:p", "cluster"),
+    "subdivided-core": ("core_n:core_m:n", "brute"),
+    "substitution": ("n:cap", "mw"),
+    "random": ("n:m", "auto"),
+}
+
+
+def _bench_instance(family: str, spec: str, rng: random.Random) -> tuple[Graph, dict]:
+    """The graph of one size spec and its row's params.  A spec not of the
+    family's shape, or out of its generator's range, raises ValueError."""
+    shape = BENCH_FAMILIES[family][0]
+    parts = [int(tok) for tok in spec.split(":")]
+    if len(parts) != len(shape.split(":")):
+        raise ValueError(f"size spec {spec!r} is not {shape}")
+    if family == "cluster-plus-p":
+        return gen_cluster_plus_p(*parts, rng)[0], {"p": parts[1]}
+    if family == "substitution":
+        graph, bound = gen_substitution(*parts, rng)
+        return graph, {"mw_bound": bound}
+    if family == "subdivided-core":
+        return gen_subdivided_core(*parts, rng)
+    return gen_random_connected(*parts, rng), {}
 
 
 def _bench_solve(graph: Graph, solver_name: str) -> dict:
@@ -221,27 +230,17 @@ def _bench_solve(graph: Graph, solver_name: str) -> dict:
 def cmd_bench(args) -> int:
     """One row per size spec; a row that fails records its ``error`` and the
     rest still run, but the exit code is then 2."""
+    rng = random.Random(args.seed)
     rows = []
-    for spec, graph, solver_name, params in _bench_instances(args):
-        row = {
-            "family": args.family,
-            "spec": spec,
-            "seed": args.seed,
-            "generator_version": GENERATOR_VERSION,
-            "digest": graph_digest(graph),
-            "n": graph.n,
-            "m": graph.m,
-            "params": json.dumps(params, sort_keys=True),
-            "solver": solver_name,
-            "k_star": None,
-            "witness_len": None,
-            "solve_seconds": None,
-            "oracle_seconds": None,
-            "oracle_agrees": None,
-            "error": "",
-        }
+    for spec in args.sizes:
+        row = dict.fromkeys(BENCH_COLUMNS)
+        row.update(family=args.family, spec=spec, seed=args.seed, error="",
+                   generator_version=GENERATOR_VERSION, solver=BENCH_FAMILIES[args.family][1])
         try:
-            row.update(_bench_solve(graph, solver_name))
+            graph, params = _bench_instance(args.family, spec, rng)
+            row.update(digest=graph_digest(graph), n=graph.n, m=graph.m,
+                       params=json.dumps(params, sort_keys=True))
+            row.update(_bench_solve(graph, row["solver"]))
         except Exception as exc:
             row["error"] = _report(exc, f"{spec}: ")
         rows.append(row)
@@ -251,7 +250,7 @@ def cmd_bench(args) -> int:
             json.dump(rows, out, indent=2, sort_keys=True)
             out.write("\n")
         else:
-            writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
+            writer = csv.DictWriter(out, fieldnames=BENCH_COLUMNS)
             writer.writeheader()
             writer.writerows(rows)
     finally:
@@ -298,11 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="generate instances and time the solvers")
-    bench.add_argument("--family", required=True,
-                       choices=("cluster-plus-p", "subdivided-core", "substitution", "random"))
+    bench.add_argument("--family", required=True, choices=tuple(BENCH_FAMILIES))
     bench.add_argument("--sizes", required=True, nargs="+",
-                       help="per-instance size specs: cluster-plus-p n:p, "
-                            "subdivided-core core_n:core_m:n, substitution n:cap, random n:m")
+                       help="per-instance size specs: " + ", ".join(
+                           f"{family} {shape}" for family, (shape, _) in BENCH_FAMILIES.items()))
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--format", choices=("csv", "json"), default="csv")
     bench.add_argument("--out", default=None, help="write table here instead of stdout")

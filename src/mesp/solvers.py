@@ -333,14 +333,14 @@ class _ClusterSearch:
     feasible order pi), plus a split of the remaining modulator vertices into
     "at distance 1" / "at distance 2" / "further".  Connector vertices between
     consecutive pi entries are then chosen by a set-cover DP whose
-    requirements are the guessed distance obligations not already met by pi,
-    and failed guesses retry with up to two extra path vertices at each end.
+    requirements are the guessed distance obligations not already met by pi;
+    one DP build per guess serves every choice of up to two extra path
+    vertices at each end.
     """
 
     solver, kind, param, residual = "cluster", CLUSTER, "p", "cliques"
 
     def __init__(self, query: MespQuery, modulator: Modulator, stats: SolveStats):
-        self.graph = query.graph
         self.dist = query.dist
         self.k = query.k
         self.stats = stats
@@ -392,36 +392,38 @@ class _ClusterSearch:
     def _extension_options(self, pi):
         """Possible path prefixes and suffixes of length 1..2 drawn from the
         cluster part, pre-filtered by the distance conditions any extended
-        shortest path must satisfy.  Each option is (vertices, mask, cover)."""
+        shortest path must satisfy.  Each option is (vertices, cover).
+
+        An option vertex lies at distance span + 1 or span + 2 from the far
+        end of pi, and every core spliced from pi lies in the interval
+        between pi's ends, so no option meets a core."""
         rows, adj, vc = self.rows, self.adj, self.vc_mask
         cover = self.cover_k
         first, last = pi[0], pi[-1]
         span = rows[first][last]
 
         def options(anchor, far_end):
-            opts = [((), 0, 0)]
+            opts = [((), 0)]
             singles = [
                 b for b in _bits(adj[anchor] & vc) if rows[b][far_end] == span + 1
             ]
             for b in singles:
-                opts.append(((b,), 1 << b, cover[b]))
+                opts.append(((b,), cover[b]))
             for b in singles:
                 for a in _bits(adj[b] & vc):
-                    if a != b and rows[a][far_end] == span + 2:
-                        opts.append(((a, b), (1 << a) | (1 << b), cover[a] | cover[b]))
+                    if rows[a][far_end] == span + 2:
+                        opts.append(((a, b), cover[a] | cover[b]))
             return opts
 
         prefixes = options(first, last)
-        suffixes = [
-            (tuple(reversed(verts)), vm, cov) for verts, vm, cov in options(last, first)
-        ]
+        suffixes = [(tuple(reversed(verts)), cov) for verts, cov in options(last, first)]
         return prefixes, suffixes
 
     def _try_order(self, l_set, pi, groups):
         prefixes, suffixes = self._extension_options(pi)
         # every path an assignment can return is drawn from pi, the groups
         # and the options, so unless they reach every vertex none is a witness
-        drawn = chain(pi, *chain.from_iterable(groups), *(v for v, _, _ in prefixes + suffixes))
+        drawn = chain(pi, *chain.from_iterable(groups), *(v for v, _ in prefixes + suffixes))
         if _reach(self.cover_k, drawn) != self.full:
             return None
         k = self.k
@@ -499,76 +501,39 @@ class _ClusterSearch:
             r, tuple(tuple(Candidate(seg, sat_of(seg)) for seg in segs) for segs in groups)
         )
         stats.csc_calls += 1
-        packs = {0: (inst, dp_layers(inst))}
+        layers = dp_layers(inst)
+        core_cache: dict[int, tuple] = {}
 
-        def pack_for(banned: int):
-            got = packs.get(banned)
+        def core_for(target: int):
+            """The core whose selection covers ``target``, and its cover.
+            pi telescopes and every segment is a shortest path, so the splice
+            is one too (``_finish_yes`` re-verifies the witness anyway)."""
+            got = core_cache.get(target)
             if got is None:
-                kept = tuple(
-                    tuple(c for c in grp if not _mask_of(c.payload) & banned)
-                    for grp in inst.groups
-                )
-                if any(not grp for grp in kept):
-                    got = (None, None)
-                else:
-                    sub = CscInstance(r, kept)
-                    stats.csc_calls += 1
-                    got = (sub, dp_layers(sub))
-                packs[banned] = got
+                sel = reconstruct_selection(layers, target)
+                got = (None, 0)
+                if sel is not None:
+                    core = _splice(self.adj, pi, [c.payload for c in sel.candidates(inst)])
+                    got = (core, _reach(self.cover_k, core))
+                core_cache[target] = got
             return got
 
-        cover_k = self.cover_k
-        core_cache: dict[tuple[int, int], tuple] = {}
-
-        def core_for(target: int, banned: int = 0):
-            key = (target, banned)
-            got = core_cache.get(key)
-            if got is None:
-                got = (None, 0, 0)
-                sub, layers = pack_for(banned)
-                if sub is not None:
-                    sel = reconstruct_selection(layers, target)
-                    if sel is not None:
-                        core = _splice(self.adj, pi, [c.payload for c in sel.candidates(sub)])
-                        if is_shortest_path(self.graph, self.dist, core):
-                            cov = 0
-                            vmask = 0
-                            for w in core:
-                                cov |= cover_k[w]
-                                vmask |= 1 << w
-                            got = (core, cov, vmask)
-                core_cache[key] = got
-            return got
-
-        core, cov, _ = core_for(full_t)
-        if core is not None and cov == self.full:
-            return core
-
-        # retry with up to two extra path vertices at each end; they take
-        # over the requirements they satisfy themselves
+        # the bare core is the first pair of empty options; up to two extra
+        # path vertices at each end take over the requirements they satisfy
+        # themselves.  Options that share a vertex fail the length check,
+        # since a walk that repeats a vertex is longer than its ends' distance.
         full = self.full
-        pre_sat = [sat_of(pverts) for pverts, _, _ in prefixes]
-        suf_sat = [sat_of(sverts) for sverts, _, _ in suffixes]
-        for (pverts, pvmask, pcov), psat in zip(prefixes, pre_sat):
-            for (sverts, svmask, scov), ssat in zip(suffixes, suf_sat):
-                if not pverts and not sverts:
-                    continue
-                emask = pvmask | svmask
-                if pvmask & svmask:
-                    continue
-                target = full_t & ~(psat | ssat)
-                core, ccov, cmask = core_for(target)
-                if core is not None and cmask & emask:
-                    core, ccov, _ = core_for(target, banned=emask)
-                if core is None:
-                    continue
-                if ccov | pcov | scov != full:
+        pre_sat = [sat_of(pverts) for pverts, _ in prefixes]
+        suf_sat = [sat_of(sverts) for sverts, _ in suffixes]
+        for (pverts, pcov), psat in zip(prefixes, pre_sat):
+            for (sverts, scov), ssat in zip(suffixes, suf_sat):
+                core, ccov = core_for(full_t & ~(psat | ssat))
+                if core is None or ccov | pcov | scov != full:
                     continue
                 start = pverts[0] if pverts else core[0]
                 end = sverts[-1] if sverts else core[-1]
-                if rows[start][end] != len(core) - 1 + len(pverts) + len(sverts):
-                    continue
-                return pverts + core + sverts
+                if rows[start][end] == len(core) - 1 + len(pverts) + len(sverts):
+                    return pverts + core + sverts
         return None
 
 
@@ -656,12 +621,8 @@ class _DisjointPathsSearch:
 
         base_min = list(map(min, zip(*(rows[x] for x in pi))))
         others = [v for v in chat if v not in l_set]
-        ranges = []
-        for v in others:
-            hi = min(k, base_min[v])
-            if lo_bound[v] > hi:
-                return None
-            ranges.append((lo_bound[v], hi))
+        # the eccentricity screen in run keeps every range non-empty
+        ranges = [range(lo_bound[v], min(k, base_min[v]) + 1) for v in others]
 
         adj = self.adj
         seg_groups: list[list[tuple[tuple[int, ...], int]]] = []
@@ -677,7 +638,7 @@ class _DisjointPathsSearch:
 
         # true distances to one path obey |delta(u) - delta(v)| <= d(u, v)
         pairs = [(rows[u][v], i, j) for (i, u), (j, v) in combinations(enumerate(others), 2)]
-        for delta in product(*(range(lo, hi + 1) for lo, hi in ranges)):
+        for delta in product(*ranges):
             if any(abs(delta[i] - delta[j]) > d for d, i, j in pairs):
                 continue
             found = self._try_delta(pi, seg_groups, pair_union, others, delta, base_min)

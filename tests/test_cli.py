@@ -147,6 +147,8 @@ class TestVerify:
     def test_not_shortest(self, c6_file, capsys):
         assert main(["verify", "--path", "0,1,2,3,4", "--k", "1", c6_file]) == 1
         assert capsys.readouterr().out.strip() == "false"
+        assert main(["verify", "--path", "0,1,0", "--k", "3", c6_file]) == 1  # repeats 0
+        assert capsys.readouterr().out.strip() == "false"
 
     def test_whole_path_k0(self, tmp_path, capsys):
         f = tmp_path / "p4.txt"
@@ -228,6 +230,39 @@ class TestBench:
         rows2 = list(csv.DictReader(io.StringIO(second)))
         assert rows1[0]["digest"] == rows2[0]["digest"]
         assert rows1[0]["k_star"] == rows2[0]["k_star"]
+
+    def test_bad_spec_fails_only_its_row(self, capsys):
+        rc = main([
+            "bench", "--family", "random",
+            "--sizes", "10:14", "5:100", "10", "12:16", "--format", "json",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        rows = json.loads(captured.out)
+        assert [r["spec"] for r in rows] == ["10:14", "5:100", "10", "12:16"]
+        assert [bool(r["error"]) for r in rows] == [False, True, True, False]
+        assert "out of range" in rows[1]["error"] and "n:m" in rows[2]["error"]
+        for row in rows[1:3]:
+            assert row["digest"] is None and row["n"] is None and row["m"] is None
+            assert row["k_star"] is None and row["solver"] == "auto"
+        for row in (rows[0], rows[3]):
+            assert row["oracle_agrees"] is True and row["n"] is not None
+        assert "error: 5:100: m=100 out of range" in captured.err
+        assert "error: 10: size spec '10' is not n:m" in captured.err
+
+    def test_cross_check_timeout_is_recorded(self, capsys, monkeypatch):
+        import mesp.cli
+        from mesp import CapacityError
+
+        def out_of_time(query, time_limit=None, path_cap=None):
+            raise CapacityError(f"enumeration exceeded time limit {time_limit}s")
+
+        monkeypatch.setattr(mesp.cli, "solve_bruteforce", out_of_time)
+        rc = main(["bench", "--family", "random", "--sizes", "12:20", "--format", "json"])
+        assert rc == 0  # a timed-out cross-check is recorded, not an error
+        row = json.loads(capsys.readouterr().out)[0]
+        assert row["oracle_agrees"] == "timeout" and row["error"] == ""
+        assert row["k_star"] is not None
 
 
 class TestFailures:

@@ -63,6 +63,14 @@ class TestExamples:
         with pytest.raises(CapacityError):
             solve_csc(inst(30, [1]))
 
+    @pytest.mark.parametrize(
+        "r, mask", [(-1, 0), (2, 0b100), (0, 1), (3, -1)],
+        ids=["negative-r", "mask-past-r", "mask-with-r-zero", "negative-mask"],
+    )
+    def test_malformed_instance_rejected(self, r, mask):
+        with pytest.raises(ValueError):
+            inst(r, [mask])
+
 
 class TestLayers:
     def test_layer0(self):

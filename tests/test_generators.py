@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from mesp import modular_decomposition, modular_width, modulator_is_valid
 from mesp.generators import (
     GENERATOR_VERSION,
@@ -71,3 +73,21 @@ def test_same_seed_same_graph():
     a = gen_random_connected(15, 30, random.Random(9))
     b = gen_random_connected(15, 30, random.Random(9))
     assert list(a.edges()) == list(b.edges())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: gen_random_connected(0, 0, rng),
+        lambda rng: gen_random_connected(5, 3, rng),
+        lambda rng: gen_cluster_plus_p(4, 5, rng),
+        lambda rng: gen_subdivided_core(5, 4, 4, rng),
+        lambda rng: gen_substitution(0, 6, rng),
+        lambda rng: gen_substitution(10, 3, rng),
+    ],
+    ids=["n-zero", "m-below-tree", "p-above-n", "n-below-core", "substitution-n-zero",
+         "cap-below-4"],
+)
+def test_out_of_range_sizes_rejected(build):
+    with pytest.raises(ValueError):
+        build(random.Random(0))

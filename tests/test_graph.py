@@ -355,6 +355,9 @@ class TestPathChecks:
         assert not is_shortest_path(g, dist, (0, 1, 2, 3, 4))  # d(0,4)=2
         assert not is_shortest_path(g, dist, (0, 2))  # not adjacent
         assert is_shortest_path(g, dist, (4,))
+        assert not is_shortest_path(g, dist, ())  # empty
+        assert not is_shortest_path(g, dist, (0, 1, 0))  # repeats a vertex
+        assert not is_shortest_path(g, dist, (2, 2))
 
     def test_path_eccentricity(self):
         dist = all_pairs_distances(cycle(6))

@@ -32,7 +32,7 @@ from mesp import (
 )
 
 from mesp.generators import gen_cluster_plus_p, gen_subdivided_core, gen_substitution
-from mesp.graph import enumerate_shortest_paths
+from mesp.graph import enumerate_shortest_paths, is_shortest_path
 from mesp.solvers import (
     SolveStats,
     _ClusterSearch,
@@ -507,7 +507,7 @@ class TestScreens:
                 prefixes, suffixes = search._extension_options(pi)
                 for interiors in product(*groups):
                     core = _splice(g.adj_mask, pi, interiors)
-                    for (pre, _, _), (suf, _, _) in product(prefixes, suffixes):
+                    for (pre, _), (suf, _) in product(prefixes, suffixes):
                         p = pre + core + suf
                         shortest = len(set(p)) == len(p) == rows[p[0]][p[-1]] + 1 and all(
                             g.adj_mask[a] >> b & 1 for a, b in zip(p, p[1:])
@@ -516,6 +516,44 @@ class TestScreens:
                             list(g.edges()), k, p,
                         )
         assert screened > 50 and kept > 0
+
+
+class TestClusterGuessStructure:
+    """What the cluster search relies on instead of checking: no extension
+    option meets a core, and every splice of pi is a shortest path."""
+
+    def test_options_avoid_the_interval_and_splices_are_shortest(self):
+        rng = random.Random(17)
+        options = splices = 0
+        for _ in range(40):
+            g, mod = gen_cluster_plus_p(rng.randint(6, 20), rng.randint(1, 3), rng)
+            inst = Instance(g)
+            rows = inst.dist.rows
+            for k in range(1, _radius(inst) + 1):
+                search = _ClusterSearch(MespQuery(g, inst.dist, k), mod, SolveStats())
+                tried = []
+                try_order = search._try_order
+
+                def recorded(l_set, pi, groups):
+                    tried.append((pi, groups))
+                    return try_order(l_set, pi, groups)
+
+                search._try_order = recorded
+                search.run()
+                for pi, groups in tried:
+                    first, last = pi[0], pi[-1]
+                    span = rows[first][last]
+                    interval = {w for w in range(g.n) if rows[first][w] + rows[w][last] == span}
+                    prefixes, suffixes = search._extension_options(pi)
+                    for verts, _ in prefixes + suffixes:
+                        options += bool(verts)
+                        assert not interval & set(verts), (list(g.edges()), k, pi, verts)
+                    for interiors in product(*groups):
+                        core = _splice(g.adj_mask, pi, interiors)
+                        splices += 1
+                        assert set(core) <= interval
+                        assert is_shortest_path(g, inst.dist, core), (list(g.edges()), k, core)
+        assert options > 1000 and splices > 200
 
 
 class TestConnectorLayer:
@@ -688,6 +726,11 @@ def test_canonical_order_matches_oracle(data):
         assert witness.vertices == want[eccs.index(k_star)]
     else:
         assert witness.vertices == (min(range(n), key=lambda v: max(rows[v])),)
+
+
+def test_negative_k_query_rejected():
+    with pytest.raises(ValueError, match="eccentricity"):
+        MespQuery(path(3), all_pairs_distances(path(3)), -1)
 
 
 def test_path_graph_order_helper():
