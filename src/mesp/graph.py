@@ -206,14 +206,14 @@ class DistanceMatrix:
     as bitmasks: each layer's vertices are read off the frontier's set bits
     once, each gets its distance and ORs its neighbor mask into the next
     frontier.  The bits are walked inline, not with ``_bits``: the generator
-    made the BFS 15-20% slower at average degree 8-16.  It keeps only the
-    rows, the eccentricities and each k's coverage masks.
+    made the BFS 15-20% slower at average degree 8-16.  It keeps its graph,
+    the rows, the eccentricities and the coverage levels above a floor.
     """
 
-    __slots__ = ("n", "rows", "_ecc", "_cover")
+    __slots__ = ("graph", "rows", "_ecc", "_cover", "_floor")
 
     def __init__(self, graph: Graph):
-        n = self.n = graph.n
+        n = graph.n
         adj = graph.adj_mask
         rows = []
         ecc = []
@@ -234,7 +234,7 @@ class DistanceMatrix:
                 seen |= frontier
             rows.append(row)
             ecc.append(d)
-        self._keep(rows, ecc)
+        self._keep(graph, rows, ecc)
 
     @classmethod
     def from_split(
@@ -276,31 +276,45 @@ class DistanceMatrix:
                 # a vertex of the part that is neither u nor a neighbour is at 2
                 ecc[u] = max(far, 2) if mask ^ inner ^ 1 << u else far
         self = cls.__new__(cls)
-        self.n = n
-        self._keep(rows, ecc)
+        self._keep(graph, rows, ecc)
         return self
 
-    def _keep(self, rows: list[list[int]], ecc: list[int]) -> None:
+    def _keep(self, graph: Graph, rows: list[list[int]], ecc: list[int]) -> None:
+        self.graph = graph
         self.rows = rows
         self._ecc = ecc
         self._cover: dict[int, list[int]] = {}
+        self._floor = min(ecc) - (max(ecc) + 1) // 2  # no shortest path's eccentricity is lower
 
     def eccentricity(self, v: int) -> int:
         return self._ecc[v]
 
     def coverage_masks(self, k: int) -> list[int]:
-        """mask[v] = bitmask of vertices within distance k of v (cached per k),
-        read by ``int`` from row v spelled in base 2, vertex 0 last."""
-        got = self._cover.get(k)
-        if got is None:
-            if max(self._ecc) < 256:  # bytes(row) rejects entries of 256 or more
-                digits = bytes(49 if d <= k else 48 for d in range(256))  # b"1" / b"0"
-                got = [int(bytes(row).translate(digits)[::-1], 2) for row in self.rows]
-            else:
-                spell = ["1" if d <= k else "0" for d in range(max(self._ecc) + 1)]
-                got = [int("".join(map(spell.__getitem__, reversed(row))), 2) for row in self.rows]
-            self._cover[k] = got
-        return got
+        """mask[v] = bitmask of vertices within distance k of v.  Level 0 is
+        ``1 << v``, level 1 adds ``adj_mask[v]``, and level j + 1 ORs level j of
+        v and its neighbours (full masks kept), built up from the highest cached
+        level, with k clamped to the diameter; levels under the floor are not kept.
+        """
+        if k < 0:
+            return [0] * self.graph.n
+        k = min(k, max(self._ecc))
+        j = max((i for i in self._cover if i <= k), default=min(k, 1))
+        got = self._cover.get(j) or [
+            mask | 1 << v if j else 1 << v for v, mask in enumerate(self.graph.adj_mask)
+        ]
+        full = (1 << self.graph.n) - 1
+        while True:
+            if j >= self._floor:
+                self._cover[j] = got
+            if j == k:
+                return got
+            prev, got = got, []
+            for mask, nbrs in zip(prev, self.graph.adjacency):
+                if mask != full:
+                    for w in nbrs:
+                        mask |= prev[w]
+                got.append(mask)
+            j += 1
 
 
 def all_pairs_distances(graph: Graph) -> DistanceMatrix:

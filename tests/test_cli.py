@@ -203,7 +203,7 @@ class TestBench:
         ])
         assert rc == 0
         rows = json.loads(capsys.readouterr().out)
-        assert rows[0]["oracle_agrees"] is True
+        assert rows[0]["solver"] == "brute" and rows[0]["oracle_agrees"] == "skipped"
 
         rc = main(["bench", "--family", "random", "--sizes", "12:20", "--format", "json"])
         assert rc == 0
@@ -249,6 +249,23 @@ class TestBench:
             assert row["oracle_agrees"] is True and row["n"] is not None
         assert "error: 5:100: m=100 out of range" in captured.err
         assert "error: 10: size spec '10' is not n:m" in captured.err
+
+    def test_brute_row_skips_cross_check(self, capsys, monkeypatch):
+        # the cross-check would repeat the enumeration the row just ran
+        import mesp.cli
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("a brute row re-ran brute force")
+
+        monkeypatch.setattr(mesp.cli, "solve_bruteforce", not_called)
+        rc = main([
+            "bench", "--family", "subdivided-core",
+            "--sizes", "6:7:40", "--seed", "1", "--format", "csv",
+        ])
+        assert rc == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert row["solver"] == "brute" and row["error"] == ""
+        assert row["oracle_agrees"] == "skipped" and row["k_star"] != ""
 
     def test_cross_check_timeout_is_recorded(self, capsys, monkeypatch):
         import mesp.cli

@@ -1,7 +1,8 @@
 """Graph core: construction, distances, orders, path enumeration."""
 
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 from unittest import mock
 
 import pytest
@@ -162,8 +163,8 @@ class TestDistances:
         assert_matches_oracle(g, all_pairs_distances(g), rows, range(1, 4))
 
     def test_distances_past_a_byte_match_oracle(self):
-        # diameter 299: rows no longer fit in bytes, around k = 255 and at
-        # the diameter itself
+        # diameter 299: levels around k = 255, past a byte, and at the
+        # diameter itself
         g = path(300)
         rows = oracles.distance_rows(g.n, g.edges())
         assert_matches_oracle(g, all_pairs_distances(g), rows, (0, 1, 254, 255, 256, 299))
@@ -230,6 +231,53 @@ def assert_matches_oracle(g, dist, rows, ks=None):
         assert dist.coverage_masks(k) == want
 
 
+def split_table(g):
+    """The table an Instance fills from g's root split (BFS for a leaf root)."""
+    inst = Instance(g)
+    inst.decomposition
+    return inst.dist
+
+
+LEVEL_FAMILIES = {
+    "random": lambda rng, n: all_pairs_distances(
+        random_connected(rng, n, rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n)))
+    ),
+    "cycle": lambda rng, n: all_pairs_distances(cycle(n)),
+    "subdivided-core": lambda rng, n: all_pairs_distances(gen_subdivided_core(5, 7, n, rng)[0]),
+    "split": lambda rng, n: split_table(gen_substitution(n, 6, rng)[0]),
+}
+
+
+class TestCoverageLevels:
+    """Each level of ``coverage_masks`` against the oracle's rows, asked for
+    in random order: extending a cached level, building one below the
+    cached floor, and a k past the largest eccentricity."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(LEVEL_FAMILIES)), st.integers(5, 60), st.integers(0, 10**9))
+    @example("cycle", 520, 0)  # eccentricity 260, past a byte
+    def test_levels_match_oracle_in_any_order(self, family, n, seed):
+        rng = random.Random(seed)
+        dist = LEVEL_FAMILIES[family](rng, n)
+        rows = oracles.distance_rows(n, dist.graph.edges())
+        # the vertices at each distance from v, ORed up: level k of v is
+        # cumulative[v][min(k, ecc(v))]
+        cumulative = []
+        for row in rows:
+            layers = [0] * (max(row) + 1)
+            for u, d in enumerate(row):
+                layers[d] |= 1 << u
+            cumulative.append(list(accumulate(layers, or_)))
+        ecc = [max(row) for row in rows]
+        radius, diam = min(ecc), max(ecc)
+        ks = rng.sample(range(diam + 1), min(diam + 1, 23)) + [diam + 1]
+        rng.shuffle(ks)
+        for k in ks:
+            want = [c[min(k, len(c) - 1)] for c in cumulative]
+            assert dist.coverage_masks(k) == want, k
+        assert min(dist._cover) >= radius - (diam + 1) // 2
+
+
 class TestSetDistance:
     def test_star_center(self):
         assert eccentricity_of_set(all_pairs_distances(star(3)), {0}) == 1
@@ -258,6 +306,9 @@ class TestClosedNeighborhood:
     def test_c6(self):
         got = all_pairs_distances(cycle(6)).coverage_masks(2)[0]
         assert list(_bits(got)) == [0, 1, 2, 4, 5]
+
+    def test_negative_radius_is_empty(self):
+        assert all_pairs_distances(path(3)).coverage_masks(-1) == [0, 0, 0]
 
 
 class TestUniqueOrder:

@@ -678,6 +678,28 @@ class TestMinimize:
                 )
                 assert wit.is_valid(g, q(g, k).dist)
 
+    def test_floor_below_k_star(self):
+        # a shortest path P of eccentricity k has a middle vertex within
+        # k + ceil(|P|/2) of every vertex, so k* >= radius - ceil(diam/2)
+        rng = random.Random(22)
+        graphs = [cycle(n) for n in (15, 28, 41, 60)]
+        for _ in range(4):
+            graphs.append(gen_subdivided_core(rng.randint(5, 6), 8, rng.randint(15, 60), rng)[0])
+            graphs.append(random_connected(rng, n := rng.randint(15, 60), n - 1))  # a tree
+        graphs += [g for g in (paths_plus_c(rng, longest=14)[0] for _ in range(40)) if g.n >= 15][:4]
+        for g in graphs:
+            ecc = [max(row) for row in oracles.distance_rows(g.n, g.edges())]
+            k_star, _ = minimize_k(Instance(g), "brute")
+            assert k_star >= min(ecc) - (max(ecc) + 1) // 2, list(g.edges())
+
+    def test_long_cycle_keeps_half_the_diameter(self):
+        # C_400: radius = diameter = 200 and k* = 100.  The walk asks for
+        # levels 199 down to 99; level 99 is below the floor 200 - 100, so it
+        # is built and dropped.
+        inst = Instance(cycle(400))
+        assert minimize_k(inst)[0] == 100
+        assert len(inst.dist._cover) <= 200 // 2 + 1 and min(inst.dist._cover) == 100
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
