@@ -10,11 +10,13 @@ is returned, so a wrong guess can never produce a wrong answer.
 Both guess-and-cover searches share one connector layer: ``_segments`` walks
 the shortest paths between consecutive guessed vertices that avoid the
 modulator, and ``_splice`` puts the chosen interiors back between them.  Only
-non-adjacent pairs get a set-cover group.  Before either search spends work
-on a guess, ``_reach`` tests that the vertices its paths are drawn from
-reach every vertex within k.  Nothing here recurses; the only recursion left
-is the modulator branching in ``modulators.py``, at most as deep as its
-budget.
+non-adjacent pairs get a set-cover group.  A requirement is a pair (v, r),
+"some path vertex lies within r of v"; ``_cover_instance`` gives each
+segment the requirements ``_sat`` finds it meets.  Before either search
+spends work on a guess, ``_reach`` tests that the vertices its paths are
+drawn from reach every vertex within k.  Nothing here recurses; the only
+recursion left is the modulator branching in ``modulators.py``, at most as
+deep as its budget.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .graph import (
     all_pairs_distances,
     components,
     enumerate_shortest_paths,
-    is_shortest_path,
     unique_order,
 )
 from .modulators import (
@@ -71,7 +72,6 @@ class SolveStats:
     guesses: int = 0
     csc_calls: int = 0
     paths_checked: int = 0
-    elapsed: float = 0.0
     params: dict = field(default_factory=dict)
 
 
@@ -93,8 +93,7 @@ class MespAnswer:
     stats: SolveStats
 
 
-def _finish_yes(query: MespQuery, vertices, stats: SolveStats, t0: float) -> MespAnswer:
-    stats.elapsed = time.perf_counter() - t0
+def _finish_yes(query: MespQuery, vertices, stats: SolveStats) -> MespAnswer:
     witness = PathWitness(tuple(vertices))
     if not witness.is_valid(query.graph, query.dist):
         raise SolverInvariantError(f"witness {witness.vertices} is not a shortest path")
@@ -103,11 +102,6 @@ def _finish_yes(query: MespQuery, vertices, stats: SolveStats, t0: float) -> Mes
             f"witness {witness.vertices} has eccentricity above {query.k}"
         )
     return MespAnswer(True, witness, stats)
-
-
-def _finish_no(stats: SolveStats, t0: float) -> MespAnswer:
-    stats.elapsed = time.perf_counter() - t0
-    return MespAnswer(False, None, stats)
 
 
 def path_graph_order(graph: Graph) -> tuple[int, ...] | None:
@@ -134,7 +128,7 @@ def path_graph_order(graph: Graph) -> tuple[int, ...] | None:
     return tuple(order)
 
 
-def _settled(query: MespQuery, stats: SolveStats, t0: float) -> MespAnswer | None:
+def _settled(query: MespQuery, stats: SolveStats) -> MespAnswer | None:
     """The answer when k = 0 or k is at least the radius, else None.
 
     k = 0 is exactly "is G a path graph".  A single vertex is a shortest
@@ -144,10 +138,10 @@ def _settled(query: MespQuery, stats: SolveStats, t0: float) -> MespAnswer | Non
     """
     if query.k == 0:
         order = path_graph_order(query.graph)
-        return _finish_no(stats, t0) if order is None else _finish_yes(query, order, stats, t0)
+        return MespAnswer(False, None, stats) if order is None else _finish_yes(query, order, stats)
     ecc = query.dist.eccentricity
     center = next((v for v in range(query.graph.n) if ecc(v) <= query.k), None)
-    return None if center is None else _finish_yes(query, (center,), stats, t0)
+    return None if center is None else _finish_yes(query, (center,), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +194,9 @@ def solve_bruteforce(
 ) -> MespAnswer:
     """The first shortest path in canonical order whose k-neighborhoods cover
     the graph: the first that ``_covering_paths`` yields, under its limits."""
-    t0 = time.perf_counter()
     stats = SolveStats(solver="brute")
     found = next(_covering_paths(query, stats, time_limit, path_cap), None)
-    return _finish_no(stats, t0) if found is None else _finish_yes(query, found, stats, t0)
+    return MespAnswer(False, None, stats) if found is None else _finish_yes(query, found, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -217,24 +210,25 @@ def solve_modular_width(query: MespQuery, tree: MDNode) -> MespAnswer:
     edge across two join parts has eccentricity 1.  Prime root: some optimal
     path uses at most one vertex per child module and all vertices of a module
     are interchangeable, so it suffices to instantiate every shortest path of
-    the quotient pattern with one representative per module.
+    the quotient pattern with one representative per module.  Child modules
+    are fully adjacent or fully non-adjacent, so d_G(rep_i, rep_j) =
+    d_Q(i, j) and every lifted quotient shortest path is one of G.
     """
-    t0 = time.perf_counter()
     stats = SolveStats(solver="mw")
     graph, dist, k = query.graph, query.dist, query.k
     if tree.kind == "union":
         raise DisconnectedGraphError("decomposition root is a disjoint union")
     if tree.kind == "leaf":
-        return _finish_yes(query, (tree.vertex,), stats, t0)
+        return _finish_yes(query, (tree.vertex,), stats)
     if tree.kind == "join":
         order = path_graph_order(graph)
         if order is not None:
-            return _finish_yes(query, order, stats, t0)
+            return _finish_yes(query, order, stats)
         if k >= 1:
             a = tree.children[0].min_vertex()
             b = tree.children[1].min_vertex()
-            return _finish_yes(query, (a, b), stats, t0)
-        return _finish_no(stats, t0)
+            return _finish_yes(query, (a, b), stats)
+        return MespAnswer(False, None, stats)
 
     pattern = tree.pattern
     reps = [child.min_vertex() for child in tree.children]
@@ -244,9 +238,9 @@ def solve_modular_width(query: MespQuery, tree: MDNode) -> MespAnswer:
     for ppath in enumerate_shortest_paths(pattern, pattern_dist, dedup=True):
         stats.paths_checked += 1
         cand = tuple(reps[i] for i in ppath)
-        if _reach(cover, cand) == full and is_shortest_path(graph, dist, cand):
-            return _finish_yes(query, cand, stats, t0)
-    return _finish_no(stats, t0)
+        if _reach(cover, cand) == full:
+            return _finish_yes(query, cand, stats)
+    return MespAnswer(False, None, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +297,40 @@ def _splice(adj, pi, interiors) -> tuple[int, ...]:
     return tuple(path)
 
 
+def _sat(rows, reqs, verts) -> int:
+    """The requirements of ``reqs`` met by ``verts``: bit i is set when some
+    vertex of ``verts`` lies within radius r of v, for ``reqs[i] = (v, r)``."""
+    got = 0
+    for bi, (v, r) in enumerate(reqs):
+        row_v = rows[v]
+        if any(row_v[w] <= r for w in verts):
+            got |= 1 << bi
+    return got
+
+
+def _cover_instance(rows, reqs, groups) -> CscInstance:
+    """The set cover over ``reqs`` whose groups hold the segments of
+    ``groups``, each satisfying what ``_sat`` finds for its vertices."""
+    return CscInstance(
+        len(reqs),
+        tuple(tuple(Candidate(seg, _sat(rows, reqs, seg)) for seg in segs) for segs in groups),
+    )
+
+
 def _solve_with_modulator(query: MespQuery, modulator: Modulator, search) -> MespAnswer:
     """The modulator solvers' scaffold: check the modulator, settle k = 0 and
     k >= radius, then run ``search`` (a search class)."""
-    t0 = time.perf_counter()
     stats = SolveStats(solver=search.solver)
     if modulator.kind != search.kind:
         raise ValueError(f"expected a {search.kind} modulator, got kind {modulator.kind!r}")
     if not modulator_is_valid(query.graph, modulator):
         raise ValueError(f"deletion set does not leave a disjoint union of {search.residual}")
     stats.params[search.param] = modulator.size
-    settled = _settled(query, stats, t0)
+    settled = _settled(query, stats)
     if settled is not None:
         return settled
     found = search(query, modulator, stats).run()
-    if found is None:
-        return _finish_no(stats, t0)
-    return _finish_yes(query, found, stats, t0)
+    return MespAnswer(False, None, stats) if found is None else _finish_yes(query, found, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +355,15 @@ class _ClusterSearch:
         self.dist = query.dist
         self.k = query.k
         self.stats = stats
-        self.n = query.graph.n
-        self.full = (1 << self.n) - 1
+        self.full = (1 << query.graph.n) - 1
         self.rows = query.dist.rows
         self.adj = query.graph.adj_mask
         self.cover_k = query.dist.coverage_masks(query.k)
         self.U = sorted(modulator.vertices)
         self.u_mask = _mask_of(self.U)
         self.vc_mask = self.full & ~self.u_mask
-        # label the residual cliques; vertices of one clique are mutually
-        # adjacent, so they are saved by exactly the same path vertices
-        self.clique_id = [-1] * self.n
-        self.cliques = components(self.adj, self.vc_mask)
-        for ci, comp in enumerate(self.cliques):
-            for v in _bits(comp):
-                self.clique_id[v] = ci
+        # the residual cliques, each as its vertices ascending
+        self.cliques = [list(_bits(c)) for c in components(self.adj, self.vc_mask)]
 
     def run(self) -> tuple[int, ...] | None:
         for lsize in range(1, len(self.U) + 1):
@@ -448,58 +453,24 @@ class _ClusterSearch:
     def _try_assignment(self, pi, groups, dpi, near, twostep, prefixes, suffixes):
         stats = self.stats
         stats.guesses += 1
-        k = self.k
         rows = self.rows
-        clique_id = self.clique_id
 
-        # requirements not already met by pi itself
-        universe: list[tuple[str, int]] = []
-        for v in near:
-            if dpi[v] > 1:
-                universe.append(("near", v))
-        for v in twostep:
-            if dpi[v] > 2:
-                universe.append(("twostep", v))
-        if k == 1:
-            needy = [
-                ci
-                for ci, cmask in enumerate(self.cliques)
-                if any(dpi[z] > 1 for z in _bits(cmask))
-            ]
+        # requirements (v, r), "a path vertex lies within r of v", not
+        # already met by pi itself
+        reqs = [(v, 1) for v in near if dpi[v] > 1]
+        reqs += [(v, 2) for v in twostep if dpi[v] > 2]
+        if self.k == 1:
+            # a needy clique asks for (z, 1), z its lowest vertex: every
+            # candidate and option vertex lies outside U, where d(w, z) <= 1
+            # holds exactly when w is in z's clique
+            needy = [(c[0], 1) for c in self.cliques if any(dpi[z] > 1 for z in c)]
             # the path visits at most one clique per connector pair plus one
             # per extended end, so more needy cliques than that is hopeless
             if len(needy) > len(groups) + 2:
                 return None
-            universe.extend(("clique", ci) for ci in needy)
-        r = len(universe)
-        full_t = (1 << r) - 1
-
-        sat_cache: dict[int, int] = {}
-
-        def sat_of(verts) -> int:
-            """The requirements met by any of ``verts``."""
-            total = 0
-            for w in verts:
-                got = sat_cache.get(w)
-                if got is None:
-                    got = 0
-                    row = rows[w]
-                    for bi, (kind, ident) in enumerate(universe):
-                        if kind == "near":
-                            if row[ident] <= 1:
-                                got |= 1 << bi
-                        elif kind == "twostep":
-                            if row[ident] <= 2:
-                                got |= 1 << bi
-                        elif clique_id[w] == ident:
-                            got |= 1 << bi
-                    sat_cache[w] = got
-                total |= got
-            return total
-
-        inst = CscInstance(
-            r, tuple(tuple(Candidate(seg, sat_of(seg)) for seg in segs) for segs in groups)
-        )
+            reqs += needy
+        full_t = (1 << len(reqs)) - 1
+        inst = _cover_instance(rows, reqs, groups)
         stats.csc_calls += 1
         layers = dp_layers(inst)
         core_cache: dict[int, tuple] = {}
@@ -523,8 +494,8 @@ class _ClusterSearch:
         # themselves.  Options that share a vertex fail the length check,
         # since a walk that repeats a vertex is longer than its ends' distance.
         full = self.full
-        pre_sat = [sat_of(pverts) for pverts, _ in prefixes]
-        suf_sat = [sat_of(sverts) for sverts, _ in suffixes]
+        pre_sat = [_sat(rows, reqs, pverts) for pverts, _ in prefixes]
+        suf_sat = [_sat(rows, reqs, sverts) for sverts, _ in suffixes]
         for (pverts, pcov), psat in zip(prefixes, pre_sat):
             for (sverts, scov), ssat in zip(suffixes, suf_sat):
                 core, ccov = core_for(full_t & ~(psat | ssat))
@@ -625,28 +596,29 @@ class _DisjointPathsSearch:
         ranges = [range(lo_bound[v], min(k, base_min[v]) + 1) for v in others]
 
         adj = self.adj
-        seg_groups: list[list[tuple[tuple[int, ...], int]]] = []
-        pair_union: list[int] = []
+        groups: list[list[tuple[int, ...]]] = []
+        unions: list[int] = []
         for a, b in zip(pi, pi[1:]):
             if adj[a] >> b & 1:
                 continue
             segs = _segments(adj, rows, a, b, chat_mask)
             if not segs:
                 return None
-            seg_groups.append([(seg, _mask_of(seg)) for seg in segs])
-            pair_union.append(_mask_of(w for seg in segs for w in seg))
+            groups.append(segs)
+            unions.append(_mask_of(w for seg in segs for w in seg))
+        all_seg_mask = _mask_of(w for segs in groups for seg in segs for w in seg)
 
         # true distances to one path obey |delta(u) - delta(v)| <= d(u, v)
         pairs = [(rows[u][v], i, j) for (i, u), (j, v) in combinations(enumerate(others), 2)]
         for delta in product(*ranges):
             if any(abs(delta[i] - delta[j]) > d for d, i, j in pairs):
                 continue
-            found = self._try_delta(pi, seg_groups, pair_union, others, delta, base_min)
+            found = self._try_delta(pi, groups, unions, all_seg_mask, others, delta, base_min)
             if found is not None:
                 return found
         return None
 
-    def _try_delta(self, pi, seg_groups, pair_union, others, delta, base_min):
+    def _try_delta(self, pi, groups, unions, all_seg_mask, others, delta, base_min):
         stats = self.stats
         stats.guesses += 1
         n, k, rows = self.n, self.k, self.rows
@@ -660,32 +632,21 @@ class _DisjointPathsSearch:
                 if t < estimate[v]:
                     estimate[v] = t
 
+        # a segment is kept when it comes within k of every vertex of its
+        # group's union that the estimate puts at k + 1
         kept_groups = []
         nec_mask = 0
-        for with_masks, union in zip(seg_groups, pair_union):
+        for segs, union in zip(groups, unions):
             witnesses = [u for u in _bits(union) if estimate[u] == kp1]
-            if witnesses:
-                keep = []
-                for seg, vm in with_masks:
-                    ok = True
-                    for u in witnesses:
-                        row_u = rows[u]
-                        if all(row_u[w] > k for w in seg):
-                            ok = False
-                            break
-                    if ok:
-                        keep.append((seg, vm))
-                if not keep:
-                    return None
-            else:
-                keep = with_masks
+            keep = [
+                seg for seg in segs if all(any(rows[u][w] <= k for w in seg) for u in witnesses)
+            ]
+            if not keep:
+                return None
             kept_groups.append(keep)
             if len(keep) == 1:
-                nec_mask |= keep[0][1]
+                nec_mask |= _mask_of(keep[0])
 
-        all_seg_mask = 0
-        for union in pair_union:
-            all_seg_mask |= union
         for v in range(n):
             if estimate[v] > kp1 and not nec_mask >> v & 1:
                 return None
@@ -698,25 +659,12 @@ class _DisjointPathsSearch:
             return None
 
         base_verts = list(pi) + list(_bits(nec_mask))
-        reqs: list[tuple[int, int]] = [(v, k) for v in off_far]
+        reqs = [(v, k) for v in off_far]
         for o, dv in zip(others, delta):
             row_o = rows[o]
             if min(row_o[w] for w in base_verts) > dv:
                 reqs.append((o, dv))
-        r = len(reqs)
-
-        groups = []
-        for keep in kept_groups:
-            cands = []
-            for seg, vm in keep:
-                mask = 0
-                for bi, (v, bound) in enumerate(reqs):
-                    row_v = rows[v]
-                    if any(row_v[w] <= bound for w in seg):
-                        mask |= 1 << bi
-                cands.append(Candidate(seg, mask))
-            groups.append(tuple(cands))
-        inst = CscInstance(r, tuple(groups))
+        inst = _cover_instance(rows, reqs, kept_groups)
         stats.csc_calls += 1
         sol = solve_csc(inst)
         if sol is None:
@@ -919,10 +867,10 @@ def minimize_k(inst: Instance, solver: str = "auto") -> tuple[int, PathWitness]:
     lo, hi = 0, dist.eccentricity(center)
     best = PathWitness((center,))
     if pick == "brute":
-        t0, stats, found = time.perf_counter(), SolveStats(solver="brute"), (center,)
+        stats, found = SolveStats(solver="brute"), (center,)
         for found in _covering_paths(MespQuery(graph, dist, hi - 1), stats, None, path_cap):
             hi -= 1
-        return hi, _finish_yes(MespQuery(graph, dist, hi), found, stats, t0).witness
+        return hi, _finish_yes(MespQuery(graph, dist, hi), found, stats).witness
     while lo < hi:
         mid = (lo + hi) // 2
         answer = decide(inst, mid, solver)

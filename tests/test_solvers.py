@@ -2,7 +2,7 @@
 
 import random
 from collections import defaultdict
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +32,7 @@ from mesp import (
 )
 
 from mesp.generators import gen_cluster_plus_p, gen_subdivided_core, gen_substitution
-from mesp.graph import enumerate_shortest_paths, is_shortest_path
+from mesp.graph import enumerate_shortest_paths, is_shortest_path, unique_order
 from mesp.solvers import (
     SolveStats,
     _ClusterSearch,
@@ -246,6 +246,26 @@ class TestModularWidth:
         g = cycle(5)
         tree = modular_decomposition(g)
         assert solve_modular_width(q(g, 1), tree).decision
+
+    def test_lifted_pattern_paths_are_shortest(self):
+        """Child modules of the root are fully adjacent or fully non-adjacent,
+        so every shortest path of a prime root's pattern, lifted to one
+        representative per module, is a shortest path of G; the prime loop
+        relies on this and does not check it."""
+        rng = random.Random(36)
+        lifted = 0
+        for _ in range(40):
+            g = gen_substitution(rng.randint(8, 60), 6, rng)[0]
+            tree = modular_decomposition(g)
+            if tree.kind != "prime":
+                continue
+            dist = all_pairs_distances(g)
+            reps = [child.min_vertex() for child in tree.children]
+            for ppath in enumerate_shortest_paths(tree.pattern):
+                lifted += 1
+                cand = [reps[i] for i in ppath]
+                assert is_shortest_path(g, dist, cand), (list(g.edges()), cand)
+        assert lifted > 100
 
 
 class TestClusterSolver:
@@ -554,6 +574,62 @@ class TestClusterGuessStructure:
                         assert set(core) <= interval
                         assert is_shortest_path(g, inst.dist, core), (list(g.edges()), k, core)
         assert options > 1000 and splices > 200
+
+
+def _cluster_cases(catalog):
+    """(graph, search at k = 1) for the catalog's graphs and seeded
+    cluster-plus-p graphs with n <= 30, each with a minimum cluster
+    modulator."""
+    rng = random.Random(19)
+    graphs = [Graph(n, edges) for n, edges in catalog]
+    graphs += [gen_cluster_plus_p(rng.randint(6, 30), rng.randint(1, 3), rng)[0] for _ in range(40)]
+    for g in graphs:
+        inst = Instance(g)
+        yield g, _ClusterSearch(MespQuery(g, inst.dist, 1), inst.modulator(CLUSTER), SolveStats())
+
+
+class TestClusterCliqueRequirement:
+    """A needy clique is the requirement (z, 1), z its lowest vertex; that is
+    exact because every vertex the search can put on the path outside pi
+    lies outside U, and outside U d(w, z) <= 1 holds exactly within z's
+    clique."""
+
+    def test_candidates_and_options_avoid_the_modulator(self, catalog7):
+        drawn = 0
+        for g, search in _cluster_cases(catalog7):
+            adj, rows, u_mask = g.adj_mask, search.rows, search.u_mask
+            for lsize in range(1, len(search.U) + 1):
+                for L in combinations(search.U, lsize):
+                    for s in L:
+                        pi = unique_order(search.dist, s, L)
+                        if pi is None:
+                            continue
+                        verts = [
+                            w
+                            for a, b in zip(pi, pi[1:])
+                            if not adj[a] >> b & 1
+                            for seg in _segments(adj, rows, a, b, u_mask)
+                            for w in seg
+                        ]
+                        prefixes, suffixes = search._extension_options(pi)
+                        verts += [w for opt, _ in prefixes + suffixes for w in opt]
+                        drawn += len(verts)
+                        assert not any(u_mask >> w & 1 for w in verts), (list(g.edges()), pi)
+        assert drawn > 20000
+
+    def test_lowest_vertex_stands_for_its_clique(self, catalog7):
+        checked = 0
+        for g, search in _cluster_cases(catalog7):
+            rows = search.rows
+            outside = [w for w in range(g.n) if not search.u_mask >> w & 1]
+            assert sorted(w for c in search.cliques for w in c) == outside
+            for c in search.cliques:
+                z = c[0]
+                assert z == min(c)
+                for w in outside:
+                    checked += 1
+                    assert (rows[w][z] <= 1) == (w in c), (list(g.edges()), c, w)
+        assert checked > 10000
 
 
 class TestConnectorLayer:
