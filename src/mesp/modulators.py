@@ -2,8 +2,11 @@
 
 Two modulator kinds are supported: deleting the set must leave either a
 cluster graph (disjoint union of cliques) or a disjoint union of paths.
-Both finders are bounded search trees; the budget-free entry points grow the
-budget from zero, so the first hit has minimum size.
+One bounded search tree finds both, budgets tried from zero up so that the
+first hit has minimum size.  Each kind branches on its obstruction: an
+induced P3, or a vertex of degree >= 3 and, when there is none, a cycle; a
+set is valid exactly when no obstruction is left.  One memo of the branch
+rule serves every budget, and holds every set the tree reaches.
 
 The modular decomposition splits a disconnected vertex set into components
 (union node), a co-disconnected one into co-components (join node), and
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import MespError
 from .graph import Graph, _bits, _mask_of, components
@@ -43,46 +46,7 @@ class Modulator:
 
 
 # ---------------------------------------------------------------------------
-# residual predicates
-
-
-def residual_is_cluster(graph: Graph, removed: Iterable[int]) -> bool:
-    """True iff deleting ``removed`` leaves a disjoint union of cliques."""
-    live = ((1 << graph.n) - 1) & ~_mask_of(removed)
-    adj = graph.adj_mask
-    for v in _bits(live):
-        nv = adj[v] & live
-        # every two live neighbors of v must be adjacent (no induced P3 center)
-        for u in _bits(nv):
-            if nv & ~adj[u] & ~(1 << u):
-                return False
-    return True
-
-
-def residual_is_disjoint_paths(graph: Graph, removed: Iterable[int]) -> bool:
-    """True iff deleting ``removed`` leaves a disjoint union of paths."""
-    live = ((1 << graph.n) - 1) & ~_mask_of(removed)
-    adj = graph.adj_mask
-    nverts = 0
-    nedges = 0
-    for v in _bits(live):
-        deg = (adj[v] & live).bit_count()
-        if deg > 2:
-            return False
-        nverts += 1
-        nedges += deg
-    # max degree <= 2: paths iff no cycle iff every component is a tree
-    return nedges // 2 == nverts - len(components(adj, live))
-
-
-def modulator_is_valid(graph: Graph, mod: Modulator) -> bool:
-    if mod.kind == CLUSTER:
-        return residual_is_cluster(graph, mod.vertices)
-    return residual_is_disjoint_paths(graph, mod.vertices)
-
-
-# ---------------------------------------------------------------------------
-# cluster modulator: branch on the three vertices of an induced P3
+# one bounded search tree, with a branch rule per kind
 
 
 def _first_p3(graph: Graph, removed: int) -> tuple[int, int, int] | None:
@@ -109,105 +73,89 @@ def _first_p3(graph: Graph, removed: int) -> tuple[int, int, int] | None:
     return None
 
 
-def _branch_cluster(first_p3, removed: int, budget: int) -> int | None:
-    p3 = first_p3(removed)
-    if p3 is None:
-        return removed
-    if budget == 0:
+def _cluster_branches(graph: Graph, removed: int) -> tuple | None:
+    """Delete one vertex of the first induced P3; None when there is none."""
+    p3 = _first_p3(graph, removed)
+    return None if p3 is None else (p3, None)
+
+
+def _paths_branches(graph: Graph, removed: int) -> tuple | None:
+    """Delete a live vertex u of maximum degree d >= 3, or d - 2 of its live
+    neighbours, so that u keeps at most two.  Without such a u every
+    component is a path or a cycle: delete the lowest vertex of the first
+    cycle, one with as many edges as vertices."""
+    live = ((1 << graph.n) - 1) & ~removed
+    adj = graph.adj_mask
+    u, deg = None, 2
+    for v in _bits(live):
+        d = (adj[v] & live).bit_count()
+        if d > deg:
+            u, deg = v, d
+    if u is not None:
+        return (u,), (adj[u] & live, deg - 2)
+    for comp in components(adj, live):
+        if sum((adj[v] & comp).bit_count() for v in _bits(comp)) == 2 * comp.bit_count():
+            return ((comp & -comp).bit_length() - 1,), None
+    return None
+
+
+_BRANCHES = {CLUSTER: _cluster_branches, DISJOINT_PATHS: _paths_branches}
+
+
+def modulator_is_valid(graph: Graph, mod: Modulator) -> bool:
+    """True iff ``mod`` holds only vertices of ``graph`` and deleting them
+    leaves a graph of its kind: no branch rule applies."""
+    inside = all(0 <= v < graph.n for v in mod.vertices)
+    return inside and _BRANCHES[mod.kind](graph, _mask_of(mod.vertices)) is None
+
+
+def _minimum_modulator(kind: str, graph: Graph, cap: int | None) -> Modulator | None:
+    """Smallest modulator of ``kind``, budgets tried in increasing order, so
+    the first hit has minimum size; None once the budget would exceed ``cap``.
+
+    The kind's branch rule maps a removed mask to None when the residual has
+    the kind, else to (vertices, trim): delete one of ``vertices``, each in
+    turn, then, for ``trim = (pool, size)``, ``size`` vertices of the mask
+    ``pool``, each subset in combinations order.  A branch is taken only when
+    it fits the budget left.  All budgets share one memo of the rule by
+    removed mask, so no set is scanned twice, whether a shallower tree or
+    another branch order reached it first.
+    """
+    branches = lru_cache(maxsize=None)(partial(_BRANCHES[kind], graph))
+
+    def search(removed: int, budget: int) -> int | None:
+        rule = branches(removed)
+        if rule is None:
+            return removed
+        if budget == 0:
+            return None
+        vertices, trim = rule
+        for v in vertices:
+            got = search(removed | 1 << v, budget - 1)
+            if got is not None:
+                return got
+        if trim is not None and trim[1] <= budget:
+            pool, size = trim
+            for sub in combinations(_bits(pool), size):
+                got = search(removed | _mask_of(sub), budget - size)
+                if got is not None:
+                    return got
         return None
-    for v in p3:
-        got = _branch_cluster(first_p3, removed | 1 << v, budget - 1)
+
+    top = graph.n if cap is None else min(cap, graph.n)
+    for budget in range(top + 1):
+        got = search(0, budget)
         if got is not None:
-            return got
+            return Modulator(kind, frozenset(_bits(got)))
     return None
 
 
 def minimum_cluster_modulator(graph: Graph, cap: int | None = None) -> Modulator | None:
-    """Smallest cluster modulator, budgets tried in increasing order.
-
-    With a cap, gives up (returns None) once the budget would exceed it.
-    All budgets share one memo of ``_first_p3`` by removed mask, so no set
-    is scanned twice, whether a shallower tree or another branch order
-    reached it first.
-    """
-    top = graph.n if cap is None else min(cap, graph.n)
-    first_p3 = lru_cache(maxsize=None)(partial(_first_p3, graph))
-    for budget in range(top + 1):
-        got = _branch_cluster(first_p3, 0, budget)
-        if got is not None:
-            return Modulator(CLUSTER, frozenset(_bits(got)))
-    return None
-
-
-# ---------------------------------------------------------------------------
-# disjoint-paths modulator: branch on a vertex of degree >= 3
-
-
-def _max_high_degree(graph: Graph, removed: int) -> int | None:
-    """Live vertex of maximum residual degree, if that degree is >= 3."""
-    live = ((1 << graph.n) - 1) & ~removed
-    adj = graph.adj_mask
-    best, best_deg = None, 2
-    for v in _bits(live):
-        deg = (adj[v] & live).bit_count()
-        if deg > best_deg:
-            best, best_deg = v, deg
-    return best
-
-
-def _residual_cycle_minima(graph: Graph, removed: int) -> list[int]:
-    """Smallest vertex of each cycle of the residual graph (max degree <= 2)."""
-    live = ((1 << graph.n) - 1) & ~removed
-    adj = graph.adj_mask
-    minima = []
-    for comp in components(adj, live):
-        nedges = sum((adj[v] & comp).bit_count() for v in _bits(comp)) // 2
-        if nedges == comp.bit_count():  # the component is a cycle
-            minima.append((comp & -comp).bit_length() - 1)
-    return minima
-
-
-def _branch_paths(graph: Graph, removed: int, budget: int) -> int | None:
-    u = _max_high_degree(graph, removed)
-    if u is None:
-        minima = _residual_cycle_minima(graph, removed)
-        if len(minima) > budget:
-            return None
-        return removed | _mask_of(minima)
-    if budget == 0:
-        return None
-    got = _branch_paths(graph, removed | 1 << u, budget - 1)
-    if got is not None:
-        return got
-    # u survives: its final degree is <= 2, so all but two of its current
-    # neighbors must go; the subsets each swallow deg-2 budget at once
-    live = ((1 << graph.n) - 1) & ~removed
-    nbrs = tuple(_bits(graph.adj_mask[u] & live))
-    need = len(nbrs) - 2
-    if need > budget:
-        return None
-    for sub in combinations(nbrs, need):
-        got = _branch_paths(graph, removed | _mask_of(sub), budget - need)
-        if got is not None:
-            return got
-    return None
-
-
-def find_disjoint_paths_modulator(graph: Graph, budget: int) -> Modulator | None:
-    """A deletion set of size <= budget leaving disjoint paths, or None."""
-    got = _branch_paths(graph, 0, budget)
-    if got is None:
-        return None
-    return Modulator(DISJOINT_PATHS, frozenset(_bits(got)))
+    return _minimum_modulator(CLUSTER, graph, cap)
 
 
 def minimum_disjoint_paths_modulator(graph: Graph, cap: int | None = None) -> Modulator | None:
-    top = graph.n if cap is None else min(cap, graph.n)
-    for budget in range(top + 1):
-        got = find_disjoint_paths_modulator(graph, budget)
-        if got is not None:
-            return got
-    return None
+    return _minimum_modulator(DISJOINT_PATHS, graph, cap)
 
 
 # ---------------------------------------------------------------------------

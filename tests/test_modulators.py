@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-from functools import partial
 from itertools import combinations
 
 import pytest
@@ -11,26 +10,26 @@ from hypothesis import strategies as st
 
 import mesp.modulators
 from mesp import (
+    CLUSTER,
+    DISJOINT_PATHS,
     Graph,
     MDNode,
     Modulator,
-    find_disjoint_paths_modulator,
     minimum_cluster_modulator,
     minimum_disjoint_paths_modulator,
     modular_decomposition,
     modular_width,
     modulator_is_valid,
-    residual_is_cluster,
-    residual_is_disjoint_paths,
 )
 from mesp.cli import main
 from mesp.generators import gen_cluster_plus_p, gen_subdivided_core, gen_substitution
-from mesp.modulators import _branch_cluster, _first_p3
+from mesp.modulators import _first_p3
 
 import oracles
 from mdtree import expand_mdtree, mdtree_to_sexpr
 from smallgraphs import connected_catalog, edges_of
 from test_graph import complete, cycle, path, random_connected
+from test_solvers import paths_plus_c
 
 
 def _random_graph(rng, lo=5, hi=9):
@@ -79,7 +78,7 @@ class TestClusterModulator:
         for _ in range(60):
             g = _random_graph(rng)
             mod = minimum_cluster_modulator(g)
-            assert residual_is_cluster(g, mod.vertices)
+            assert modulator_is_valid(g, mod)
             assert mod.size == oracles.min_modulator_size(g.n, g.edges(), "cluster")
 
     @settings(max_examples=300, deadline=None)
@@ -92,38 +91,46 @@ class TestClusterModulator:
         want = oracles.first_p3(oracles.adjacency(n, g.edges()), set(_mask_verts(removed)))
         assert _first_p3(g, removed) == want
 
-    def test_budgets_share_one_scan_per_removed_set(self, monkeypatch):
-        scanned = []
 
-        def counted(graph, removed):
-            scanned.append(removed)
-            return _first_p3(graph, removed)
+@pytest.mark.parametrize("kind", [CLUSTER, DISJOINT_PATHS])
+def test_budgets_share_one_scan_per_removed_set(kind, monkeypatch):
+    scanned = []
+    rule = mesp.modulators._BRANCHES[kind]
 
-        monkeypatch.setattr(mesp.modulators, "_first_p3", counted)
-        rng = random.Random(12)
-        for _ in range(30):
+    def counted(graph, removed):
+        scanned.append(removed)
+        return rule(graph, removed)
+
+    monkeypatch.setitem(mesp.modulators._BRANCHES, kind, counted)
+    rng = random.Random(12)
+    for _ in range(30):
+        if kind == CLUSTER:
             g, _ = gen_cluster_plus_p(rng.randint(8, 20), rng.randint(2, 4), rng)
-            scanned.clear()
-            mod = minimum_cluster_modulator(g)
-            assert len(scanned) == len(set(scanned))
-            # the memo changes no answer: the same set as the budget alone
-            alone = _branch_cluster(partial(_first_p3, g), 0, mod.size)
-            assert mod.vertices == frozenset(_mask_verts(alone))
+            find, ok = minimum_cluster_modulator, oracles.residual_cluster_ok
+        else:
+            g, _ = paths_plus_c(rng, longest=5)
+            find, ok = minimum_disjoint_paths_modulator, oracles.residual_paths_ok
+        scanned.clear()
+        mod = find(g)
+        assert len(scanned) == len(set(scanned))
+        # the memo changes no answer: a valid modulator of minimum size
+        assert ok(oracles.adjacency(g.n, g.edges()), set(mod.vertices))
+        assert mod.size == oracles.min_modulator_size(g.n, g.edges(), kind)
 
 
 class TestDisjointPathsModulator:
     def test_path_needs_nothing(self):
-        mod = find_disjoint_paths_modulator(path(5), 0)
+        mod = minimum_disjoint_paths_modulator(path(5), 0)
         assert mod is not None and mod.vertices == frozenset()
 
     def test_cycle_one_vertex(self):
-        mod = find_disjoint_paths_modulator(cycle(5), 1)
+        mod = minimum_disjoint_paths_modulator(cycle(5), 1)
         assert mod is not None and mod.size == 1
-        assert residual_is_disjoint_paths(cycle(5), mod.vertices)
+        assert modulator_is_valid(cycle(5), mod)
 
     def test_k4(self):
-        assert find_disjoint_paths_modulator(complete(4), 1) is None
-        mod = find_disjoint_paths_modulator(complete(4), 2)
+        assert minimum_disjoint_paths_modulator(complete(4), 1) is None
+        mod = minimum_disjoint_paths_modulator(complete(4), 2)
         assert mod is not None and mod.size == 2
 
     def test_minimum_with_cap(self):
@@ -146,7 +153,7 @@ class TestDisjointPathsModulator:
         for _ in range(60):
             g = _random_graph(rng)
             mod = minimum_disjoint_paths_modulator(g)
-            assert residual_is_disjoint_paths(g, mod.vertices)
+            assert modulator_is_valid(g, mod)
             assert mod.size == oracles.min_modulator_size(g.n, g.edges(), "paths")
 
 
@@ -157,17 +164,23 @@ class TestResidualPredicates:
             g = _random_graph(rng, 3, 7)
             adj = oracles.adjacency(g.n, g.edges())
             for size in range(g.n + 1):
-                for sub in combinations(range(g.n), size):
-                    assert residual_is_cluster(g, sub) == oracles.residual_cluster_ok(
-                        adj, set(sub)
-                    )
-                    assert residual_is_disjoint_paths(
-                        g, sub
+                for sub in map(frozenset, combinations(range(g.n), size)):
+                    assert modulator_is_valid(
+                        g, Modulator(CLUSTER, sub)
+                    ) == oracles.residual_cluster_ok(adj, set(sub))
+                    assert modulator_is_valid(
+                        g, Modulator(DISJOINT_PATHS, sub)
                     ) == oracles.residual_paths_ok(adj, set(sub))
 
-    def test_bad_kind_rejected(self):
-        import pytest
+    @pytest.mark.parametrize("kind", [CLUSTER, DISJOINT_PATHS])
+    def test_outside_vertex_is_invalid(self, kind):
+        # deleting every third vertex of a path leaves disjoint edges
+        g, every_third = path(20), frozenset(range(2, 20, 3))
+        assert modulator_is_valid(g, Modulator(kind, every_third))
+        for bad in (20, 99, -1):
+            assert not modulator_is_valid(g, Modulator(kind, every_third | {bad}))
 
+    def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             Modulator("chordal", frozenset())
 

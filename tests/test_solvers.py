@@ -298,6 +298,10 @@ class TestClusterSolver:
         wrong_kind = Modulator(DISJOINT_PATHS, frozenset({1}))
         with pytest.raises(ValueError):
             solve_distance_to_cluster(q(path(4), 1), wrong_kind)
+        for outside in (4, 99, -1):  # {1} alone is valid
+            bad = Modulator(CLUSTER, frozenset({1, outside}))
+            with pytest.raises(ValueError, match="deletion set"):
+                solve_distance_to_cluster(q(path(4), 1), bad)
 
     def test_c6_all_k(self):
         g = cycle(6)
@@ -339,6 +343,22 @@ class TestDisjointPathsSolver:
         bad = Modulator(DISJOINT_PATHS, frozenset())
         with pytest.raises(ValueError):
             solve_distance_to_disjoint_paths(q(complete(4), 1), bad)
+        for outside in (4, 99, -1):  # {0, 1} alone is valid
+            bad = Modulator(DISJOINT_PATHS, frozenset({0, 1, outside}))
+            with pytest.raises(ValueError, match="deletion set"):
+                solve_distance_to_disjoint_paths(q(complete(4), 1), bad)
+
+    def test_only_kept_segment_covers_far_vertices(self):
+        # a group that keeps one segment puts it on every witness of the
+        # guess (nec_mask), and a vertex the estimate puts beyond k + 1 is
+        # covered only by lying on it; a search that leaves nec_mask empty
+        # answers no at k = 1
+        g = Graph(14, [(0, 4), (0, 5), (0, 10), (1, 9), (1, 11), (2, 11), (3, 10), (3, 12),
+                       (4, 13), (5, 6), (6, 7), (7, 8), (8, 9), (12, 13)])
+        inst = Instance(g)
+        for k in range(_radius(inst) + 1):
+            got = decide(inst, k, "paths")
+            assert got.decision == decide(inst, k, "brute").decision, k
 
     def test_random_matches_brute(self):
         rng = random.Random(22)
